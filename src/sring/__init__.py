@@ -24,8 +24,6 @@ from .rings import (
     build_ring,
     expression_label,
     nilpotent_profile,
-    product_ring,
-    quotient_ring,
     verify_ring_axioms,
     zero_divisor_set,
 )

@@ -43,7 +43,7 @@ from .ideals import (
     spectrum_intersection,
 )
 from .predicates import (
-    annihilator_mask,
+    annihilator_chain,
     is_reduced,
     is_s_zero_ideal,
     is_s_integral_domain,
@@ -306,7 +306,7 @@ class InstanceContext:
     @property
     def spectrum(self):
         return self._memo("spectrum",
-                          lambda: s_spectrum(self.ring, self.S, cap=self.cfg.ideal_cap))
+                          lambda: s_spectrum(self.ring, self.S, ideals=self.ideals))
 
     @property
     def s_minimal(self):
@@ -327,12 +327,35 @@ class InstanceContext:
         return self.s_reduced.uniform_witness
 
     @property
+    def nil_mask(self) -> int:
+        """Bitmask of the nilradical."""
+        return self._memo("nil_mask",
+                          lambda: sum(1 << a for a in self.nilpotents))
+
+    @property
     def reduced(self) -> bool:
         return len(self.nilpotents) == 1
 
     @property
     def zero_divisors(self) -> frozenset[int]:
         return self._memo("zdiv", lambda: zero_divisor_set(self.ring))
+
+    @property
+    def s_meets_zero_divisors(self) -> bool:
+        return self._memo("s_meets_zdiv",
+                          lambda: bool(set(self.S.members) & self.zero_divisors))
+
+    @property
+    def primes_missing_s(self) -> tuple[list[Ideal], int]:
+        """Prime ideals disjoint from S, and the bitmask of their intersection."""
+        def compute():
+            primes = [I for I in self.ideals
+                      if is_prime_ideal(I) and not (I.mask & self.S.mask)]
+            inter = (1 << self.ring.size) - 1
+            for P in primes:
+                inter &= P.mask
+            return primes, inter
+        return self._memo("primes_missing_s", compute)
 
     @property
     def localization(self):
@@ -524,20 +547,17 @@ def _check_localization_artinian(ctx: InstanceContext):
 
 
 def _check_product_of_fields(ctx: InstanceContext):
-    ring, S = ctx.ring, ctx.S
+    ring = ctx.ring
     hyp = {"reduced": ctx.reduced,
-           "S_avoids_zero_divisors": not (set(S.members) & ctx.zero_divisors),
+           "S_avoids_zero_divisors": not ctx.s_meets_zero_divisors,
            "s_artinian": True}
     notes = ("degenerate hypothesis: every finite ring is S-Artinian "
              "(stationarity read as s*I_k inside I_n for n >= k)",)
     if not all(hyp.values()):
         return hyp, HYP_NOT_MET, {}, notes
-    primes = [I for I in ctx.ideals
-              if is_prime_ideal(I) and not (I.mask & S.mask)]
+    primes, inter = ctx.primes_missing_s
     failures = []
-    inter = (1 << ring.size) - 1
     for P in primes:
-        inter &= P.mask
         if not is_maximal_ideal(P, ctx.ideals):
             failures.append({"reason": "prime not maximal",
                              "prime": ctx.lits(P.elements)})
@@ -616,10 +636,6 @@ def _check_poly_transfer(ctx: InstanceContext):
     return hyp, HOLDS if ring_ok == poly_ok else VIOLATED, details, ()
 
 
-def _armendariz_verdict_details(ctx: InstanceContext, ring: FiniteRing, verdict) -> dict:
-    return verdict.to_json(ring)
-
-
 def _check_u_s_red_implies_arm(ctx: InstanceContext):
     hyp = {"u_s_reduced": ctx.u_s_witness is not None}
     if not hyp["u_s_reduced"]:
@@ -629,7 +645,7 @@ def _check_u_s_red_implies_arm(ctx: InstanceContext):
         ctx.ring, ctx.S, degree, mode=mode,
         seed=derive_seed(ctx.cfg.seed, "usred-arm", ctx.instance.label),
         budget=ctx.cfg.budget)
-    details = _armendariz_verdict_details(ctx, ctx.ring, verdict)
+    details = verdict.to_json(ctx.ring)
     return hyp, HOLDS if verdict.uniform_ok else VIOLATED, details, ()
 
 
@@ -653,7 +669,7 @@ def _check_e_ring_armendariz(ctx: InstanceContext):
         budget=ctx.cfg.budget)
     details = {"carrier_size": e_ring.size,
                "mult_set_size": len(S_prime.members),
-               **_armendariz_verdict_details(ctx, e_ring, verdict)}
+               **verdict.to_json(e_ring)}
     return hyp, HOLDS if verdict.uniform_ok else VIOLATED, details, ()
 
 
@@ -679,7 +695,7 @@ def _check_idealization_armendariz(ctx: InstanceContext):
         budget=ctx.cfg.budget)
     details = {"carrier_size": rr.size,
                "mult_set_size": len(S2.members),
-               **_armendariz_verdict_details(ctx, rr, verdict)}
+               **verdict.to_json(rr)}
     return hyp, HOLDS if verdict.uniform_ok else VIOLATED, details, ()
 
 
@@ -691,15 +707,7 @@ def _check_s_reduced_implies_hopfian(ctx: InstanceContext):
     violations = []
     max_k = 0
     for a in range(ring.size):
-        anns = []
-        p = a
-        seen = set()
-        while True:
-            anns.append(annihilator_mask(ring, p))
-            if p in seen or p == ring.zero:
-                break
-            seen.add(p)
-            p = ring.mul(p, a)
+        anns = annihilator_chain(ring, a)
         for n in range(len(anns) - 1):
             upper, lower = anns[n + 1], anns[n]
             s = next(
@@ -823,37 +831,26 @@ def _check_structure_converse(ctx: InstanceContext):
 
 
 def _check_nil_is_intersection(ctx: InstanceContext):
-    ring, S = ctx.ring, ctx.S
-    hyp = {"S_avoids_zero_divisors": not (set(S.members) & ctx.zero_divisors),
-           "zero_not_in_S": not S.contains_zero}
+    hyp = {"S_avoids_zero_divisors": not ctx.s_meets_zero_divisors,
+           "zero_not_in_S": not ctx.S.contains_zero}
     if not all(hyp.values()):
         return hyp, HYP_NOT_MET, {}, ()
-    nil_mask = 0
-    for a in ctx.nilpotents:
-        nil_mask |= 1 << a
-    primes = [I for I in ctx.ideals
-              if is_prime_ideal(I) and not (I.mask & S.mask)]
-    inter = (1 << ring.size) - 1
-    for P in primes:
-        inter &= P.mask
-    ok = inter == nil_mask
-    details = {"nilradical": [ctx.lit(x) for x in mask_elements(nil_mask)],
+    primes, inter = ctx.primes_missing_s
+    ok = inter == ctx.nil_mask
+    details = {"nilradical": [ctx.lit(x) for x in mask_elements(ctx.nil_mask)],
                "primes_disjoint_from_S": len(primes),
                "intersection": [ctx.lit(x) for x in mask_elements(inter)]}
     return hyp, HOLDS if ok else VIOLATED, details, ()
 
 
 def _check_nil_nilpotent(ctx: InstanceContext):
-    ring, S = ctx.ring, ctx.S
-    hyp = {"S_avoids_zero_divisors": not (set(S.members) & ctx.zero_divisors),
+    ring, nil_mask = ctx.ring, ctx.nil_mask
+    hyp = {"S_avoids_zero_divisors": not ctx.s_meets_zero_divisors,
            "s_artinian": True}
     notes = ("degenerate hypothesis: every finite ring is S-Artinian "
              "(stationarity read as s*I_k inside I_n for n >= k)",)
     if not all(hyp.values()):
         return hyp, HYP_NOT_MET, {}, notes
-    nil_mask = 0
-    for a in ctx.nilpotents:
-        nil_mask |= 1 << a
     if not is_ideal_mask(ring, nil_mask):
         return hyp, VIOLATED, {"reason": "nilradical is not an ideal"}, notes
     N = ideal_from_mask(ring, nil_mask)
@@ -1096,15 +1093,10 @@ def _drop_localization_reduced(ctx: InstanceContext):
 
 
 def _drop_product_of_fields(ctx: InstanceContext):
-    hyp_ok = ctx.reduced and not (set(ctx.S.members) & ctx.zero_divisors)
-    if hyp_ok:
+    if ctx.reduced and not ctx.s_meets_zero_divisors:
         return None
-    primes = [I for I in ctx.ideals
-              if is_prime_ideal(I) and not (I.mask & ctx.S.mask)]
-    inter = (1 << ctx.ring.size) - 1
-    for P in primes:
-        inter &= P.mask
-    if inter != 1 or sum(1 for _ in primes) == 0:
+    primes, inter = ctx.primes_missing_s
+    if inter != 1 or not primes:
         return {"dropped": "reduced / S avoids zero divisors",
                 "primes_disjoint": len(primes),
                 "intersection": [ctx.lit(x) for x in mask_elements(inter)]}
@@ -1112,19 +1104,12 @@ def _drop_product_of_fields(ctx: InstanceContext):
 
 
 def _drop_nil_is_intersection(ctx: InstanceContext):
-    if not (set(ctx.S.members) & ctx.zero_divisors):
+    if not ctx.s_meets_zero_divisors:
         return None
-    nil_mask = 0
-    for a in ctx.nilpotents:
-        nil_mask |= 1 << a
-    primes = [I for I in ctx.ideals
-              if is_prime_ideal(I) and not (I.mask & ctx.S.mask)]
-    inter = (1 << ctx.ring.size) - 1
-    for P in primes:
-        inter &= P.mask
-    if inter != nil_mask:
+    _, inter = ctx.primes_missing_s
+    if inter != ctx.nil_mask:
         return {"dropped": "S avoids zero divisors",
-                "nilradical": [ctx.lit(x) for x in mask_elements(nil_mask)],
+                "nilradical": [ctx.lit(x) for x in mask_elements(ctx.nil_mask)],
                 "intersection": [ctx.lit(x) for x in mask_elements(inter)]}
     return None
 

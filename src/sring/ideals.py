@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptySpectrumError, SRingError, ZeroInClosureError
-from .rings import FiniteRing, ideal_span, mask_elements
+from .rings import FiniteRing, _coset_union, ideal_span, mask_elements
 
 DEFAULT_IDEAL_CAP = 4096
 
@@ -101,16 +101,12 @@ def zero_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, 1, ())
 
 
-def unit_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, (1 << ring.size) - 1, (ring.one,))
-
-
 def ideal_from_mask(ring: FiniteRing, mask: int, gens: tuple[int, ...] = ()) -> Ideal:
     return Ideal(ring, mask, gens)
 
 
 def ideal_generated(ring: FiniteRing, gens) -> Ideal:
-    """Smallest ideal containing ``gens``: multiples closed under addition."""
+    """Smallest ideal containing ``gens``: the sum of the subgroups R*g."""
     _require_commutative(ring)
     gens = tuple(gens)
     return Ideal(ring, ideal_span(ring, gens), gens)
@@ -131,19 +127,13 @@ def is_ideal_mask(ring: FiniteRing, mask: int) -> bool:
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    """Smallest ideal containing both; the union only needs additive closure."""
+    """Smallest ideal containing both: the additive sum I + J.
+
+    Any sum of ideals is again an ideal, so no multiplication is needed;
+    I + J is the union of the cosets j + I over j in J, each added once.
+    """
     ring = I.ring
-    mask = I.mask | J.mask
-    members = list(mask_elements(mask))
-    qi = 0
-    while qi < len(members):
-        x = members[qi]
-        qi += 1
-        for j in range(len(members)):
-            s = ring.add(x, members[j])
-            if not (mask >> s) & 1:
-                mask |= 1 << s
-                members.append(s)
+    mask, _ = _coset_union(ring, I.mask, list(I.elements), J.elements)
     return Ideal(ring, mask, tuple(sorted(set(I.gens) | set(J.gens))))
 
 
@@ -161,29 +151,32 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[Ideal]:
     """Every ideal exactly once, ordered by (size, element tuple).
 
-    The principal ideals are closed under pairwise ideal sum to a fixpoint;
-    every ideal of a finite ring is a finite sum of principal ideals.
+    Every ideal of a finite ring is the sum of the principal ideals R*x of
+    its elements, so closing the principal ideals under adding one
+    principal ideal at a time reaches them all: each ideal found is summed
+    with every principal ideal not already inside it.  Raises SRingError
+    once more than ``cap`` distinct ideals, principal ones included, turn up.
     """
     _require_commutative(ring)
     by_mask: dict[int, Ideal] = {}
-    worklist: list[Ideal] = []
-    for x in range(ring.size):
-        I = ideal_generated(ring, (x,))
-        if I.mask not in by_mask:
-            by_mask[I.mask] = I
-            worklist.append(I)
-    qi = 0
-    while qi < len(worklist):
-        I = worklist[qi]
-        qi += 1
-        for J in list(worklist[:qi]):
-            s = ideal_sum(I, J)
-            if s.mask not in by_mask:
-                by_mask[s.mask] = s
-                worklist.append(s)
-                if len(by_mask) > cap:
-                    raise SRingError(
-                        f"ideal count of {ring.label} exceeds cap {cap}")
+
+    def is_new(I: Ideal) -> bool:
+        if I.mask in by_mask:
+            return False
+        by_mask[I.mask] = I
+        if len(by_mask) > cap:
+            raise SRingError(f"ideal count of {ring.label} exceeds cap {cap}")
+        return True
+
+    principal = [I for I in (ideal_generated(ring, (x,)) for x in range(ring.size))
+                 if is_new(I)]
+    worklist = list(principal)
+    for I in worklist:  # grows while walked
+        for P in principal:
+            if P.mask & ~I.mask:
+                J = ideal_sum(I, P)
+                if is_new(J):
+                    worklist.append(J)
     return sorted(by_mask.values(), key=Ideal.sort_key)
 
 
@@ -233,6 +226,11 @@ def is_maximal_ideal(I: Ideal, ideals: list[Ideal]) -> bool:
 def mult_closure(ring: FiniteRing, gens, *, allow_zero: bool = False) -> MultiplicativeSet:
     """Smallest multiplicatively closed set containing ``gens`` and 1.
 
+    That set is 1 together with every word g1*g2*...*gk in the generators.
+    Each word is a shorter word times one generator, so a worklist that
+    right-multiplies every member by every generator reaches them all, in
+    any ring, commutative or not.
+
     Raises ZeroInClosureError if 0 enters the closure and the flag is unset;
     such a set makes every downstream predicate degenerate.
     """
@@ -241,36 +239,16 @@ def mult_closure(ring: FiniteRing, gens, *, allow_zero: bool = False) -> Multipl
         raise SRingError("mult_closure requires at least one generator")
     mask = 1 << ring.one
     members = [ring.one]
-    queue = list(gens)
-    for g in queue:
-        if not (mask >> g) & 1:
-            mask |= 1 << g
-            members.append(g)
-    both_orders = not ring.commutative
-    qi = 0
-    while qi < len(members):
-        x = members[qi]
-        qi += 1
-        for j in range(len(members)):
-            p = ring.mul(x, members[j])
+    for x in members:  # grows while walked
+        for g in gens:
+            p = ring.mul(x, g)
             if not (mask >> p) & 1:
                 mask |= 1 << p
                 members.append(p)
-            if both_orders:
-                p = ring.mul(members[j], x)
-                if not (mask >> p) & 1:
-                    mask |= 1 << p
-                    members.append(p)
     if (mask & 1) and not allow_zero:
         raise ZeroInClosureError(
             f"multiplicative closure of {gens} in {ring.label} contains zero")
     return MultiplicativeSet(ring, mask, gens, allow_zero)
-
-
-def mult_set_from_members(ring: FiniteRing, members, gens=(), *,
-                          allow_zero: bool = False) -> MultiplicativeSet:
-    """Wrap an already-closed member set (closure is re-derived from it)."""
-    return mult_closure(ring, tuple(members) or (ring.one,), allow_zero=allow_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +344,17 @@ def is_s_prime(S: MultiplicativeSet, P: Ideal) -> SPrimeWitness | None:
 
 
 def s_spectrum(ring: FiniteRing, S: MultiplicativeSet, *,
+               ideals: list[Ideal] | None = None,
                cap: int = DEFAULT_IDEAL_CAP) -> list[tuple[Ideal, SPrimeWitness]]:
-    """All S-prime ideals with witnesses, in canonical ideal order."""
+    """All S-prime ideals with witnesses, in canonical ideal order.
+
+    ``ideals`` is the ring's lattice from :func:`enumerate_ideals`, when the
+    caller already holds it.
+    """
+    if ideals is None:
+        ideals = enumerate_ideals(ring, cap=cap)
     out = []
-    for I in enumerate_ideals(ring, cap=cap):
+    for I in ideals:
         if not I.is_proper:
             continue
         w = is_s_prime(S, I)

@@ -40,6 +40,23 @@ def annihilator(ring: FiniteRing, a: int) -> Ideal:
     return ideal_from_mask(ring, annihilator_mask(ring, a))
 
 
+def annihilator_chain(ring: FiniteRing, a: int) -> list[int]:
+    """Masks of ann(a) <= ann(a**2) <= ..., up to the first repeated power.
+
+    The chain only grows, and from a power equal to 0 or to an earlier power
+    on it is constant, so the last mask is the value it stabilizes at.
+    """
+    anns = []
+    p = a
+    seen = set()
+    while True:
+        anns.append(annihilator_mask(ring, p))
+        if p in seen or p == ring.zero:
+            return anns
+        seen.add(p)
+        p = ring.mul(p, a)
+
+
 def is_reduced(ring: FiniteRing) -> bool:
     """Classical test: no nonzero nilpotent."""
     return len(nilpotent_profile(ring)) == 1
@@ -272,17 +289,7 @@ def s_strongly_hopfian_profile(ring: FiniteRing,
     _require_commutative(ring)
     profile: dict[int, HopfianEntry] = {}
     for a in range(ring.size):
-        anns = []
-        p = a
-        seen = set()
-        while True:
-            anns.append(annihilator_mask(ring, p))
-            if p in seen or p == ring.zero:
-                break
-            seen.add(p)
-            p = ring.mul(p, a)
-        # the chain ann(a) <= ann(a^2) <= ... is increasing, so its last
-        # computed member is the stable value
+        anns = annihilator_chain(ring, a)
         top = anns[-1]
         stabilization = next(i + 1 for i, m in enumerate(anns) if m == top)
         entry = None

@@ -13,6 +13,7 @@ function of its inputs, so ring values may be shared freely across workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -372,21 +373,7 @@ class ProductRing(FiniteRing):
             if not sols:
                 return []
             per_factor.append(sols)
-        out = []
-        idx = [0] * len(per_factor)
-        while True:
-            out.append(self._join(per_factor[k][idx[k]] for k in range(len(idx))))
-            k = 0
-            while k < len(idx):
-                idx[k] += 1
-                if idx[k] < len(per_factor[k]):
-                    break
-                idx[k] = 0
-                k += 1
-            else:
-                break
-        out.sort()
-        return out
+        return sorted(self._join(parts) for parts in itertools.product(*per_factor))
 
     def _solve_random(self, a, t, rng):
         xs, ts = self._split(a), self._split(t)
@@ -604,20 +591,9 @@ class IdealizationRing(FiniteRing):
                     ok = False
                     break
                 per_comp.append(sols)
-            if not ok:
-                continue
-            idx = [0] * len(per_comp)
-            while True:
-                out.append(self._join(y, (per_comp[k][idx[k]] for k in range(len(idx)))))
-                k = 0
-                while k < len(idx):
-                    idx[k] += 1
-                    if idx[k] < len(per_comp[k]):
-                        break
-                    idx[k] = 0
-                    k += 1
-                else:
-                    break
+            if ok:
+                out.extend(self._join(y, parts)
+                           for parts in itertools.product(*per_comp))
         out.sort()
         return out
 
@@ -794,64 +770,51 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(_mask_elements(mask))
 
 
+def _coset_union(ring: FiniteRing, mask: int, members: list[int],
+                 subgroup) -> tuple[int, list[int]]:
+    """Sum H + K of the additive subgroup H (``mask``, ``members``) and the
+    additive subgroup K whose elements ``subgroup`` lists.
+
+    H + K is the union of the cosets k + H for k in K.  The running union is
+    a union of whole cosets of H, so a coset needs adding only when its
+    representative k is not yet covered, and the sum costs |H + K|
+    additions plus one membership test per element of K.
+    """
+    add = ring.add
+    out = list(members)
+    for k in subgroup:
+        if not (mask >> k) & 1:
+            for h in members:
+                s = add(k, h)
+                mask |= 1 << s
+                out.append(s)
+    return mask, out
+
+
 def ideal_span(ring: FiniteRing, gens) -> int:
     """Bitmask of the smallest two-sided ideal containing ``gens``.
 
-    Multiples of the generators are closed under addition to a fixpoint;
-    the additive closure of a finite set already contains negatives.
+    R*y is an additive subgroup (r*y + r'*y = (r + r')*y) and a left ideal;
+    in a commutative ring it is already an ideal, so the span is the sum of
+    the subgroups R*g, each added by :func:`_coset_union`.  In a
+    noncommutative ring the ideal R*g*R is the sum of the left ideals R*y
+    over y in g*R; a y already inside the running sum adds nothing, because
+    that sum is a left ideal.
     """
     mul = ring.mul
-    add = ring.add
-    seeds = {0}
+    elements = range(ring.size)
+    mask, members = 1, [0]
     for g in gens:
-        for r in range(ring.size):
-            seeds.add(mul(r, g))
-            if not ring.commutative:
-                seeds.add(mul(g, r))
-    members: list[int] = []
-    mask = 0
-    for x in sorted(seeds):
-        if not (mask >> x) & 1:
-            mask |= 1 << x
-            members.append(x)
-    qi = 0
-    while qi < len(members):
-        x = members[qi]
-        qi += 1
-        for j in range(len(members)):
-            s = add(x, members[j])
-            if not (mask >> s) & 1:
-                mask |= 1 << s
-                members.append(s)
+        ys = (g,) if ring.commutative else sorted({mul(g, s) for s in elements})
+        for y in ys:
+            if not (mask >> y) & 1:
+                mask, members = _coset_union(ring, mask, members,
+                                             {mul(r, y) for r in elements})
     return mask
 
 
 # ---------------------------------------------------------------------------
 # Construction
-
-
-def quotient_ring(base: FiniteRing, gens_idx, *, size_cap: int = DEFAULT_SIZE_CAP,
-                  allow_trivial: bool = False) -> QuotientRing:
-    """Quotient of ``base`` by the ideal generated by the given element indices."""
-    gens_idx = tuple(gens_idx)
-    mask = ideal_span(base, gens_idx)
-    ring = QuotientRing(base, mask, gens_idx=gens_idx)
-    if ring.size == 1 and not allow_trivial:
-        raise MalformedExpressionError(
-            f"quotient of {base.label} by the unit ideal collapses to the zero ring"
-        )
-    if ring.size > size_cap:
-        raise SizeCapExceededError(
-            f"quotient size {ring.size} exceeds cap {size_cap}")
-    return ring
-
-
-def product_ring(factors, *, size_cap: int = DEFAULT_SIZE_CAP) -> ProductRing:
-    ring = ProductRing(tuple(factors))
-    if ring.size > size_cap:
-        raise SizeCapExceededError(
-            f"product size {ring.size} exceeds cap {size_cap}")
-    return ring
 
 
 def build_ring(expr: RingExpression, *, size_cap: int = DEFAULT_SIZE_CAP,
@@ -926,24 +889,34 @@ def _realize(expr, size_cap: int) -> FiniteRing:
 
 
 def _quick_axiom_sample(ring: FiniteRing, triples: int = 64) -> None:
+    """Seeded spot check of the ring axioms; raises on the first failure."""
     rng = random.Random(0xC0FFEE ^ ring.size)
     size = ring.size
-    if size > 1 and ring.zero == ring.one:
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    zero, one = ring.zero, ring.one
+    if size > 1 and zero == one:
         raise MalformedExpressionError(f"{ring.label}: zero equals one")
+
+    def require(holds: bool, axiom: str) -> None:
+        if not holds:
+            raise MalformedExpressionError(
+                f"{ring.label}: {axiom} fails at {(a, b, c)}")
+
     for _ in range(triples):
         a = rng.randrange(size)
         b = rng.randrange(size)
         c = rng.randrange(size)
-        assert ring.add(a, ring.zero) == a
-        assert ring.mul(a, ring.one) == a and ring.mul(ring.one, a) == a
-        assert ring.add(a, ring.neg(a)) == ring.zero
-        assert ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c))
-        assert ring.add(a, b) == ring.add(b, a)
-        assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
-        assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
-        assert ring.mul(ring.add(b, c), a) == ring.add(ring.mul(b, a), ring.mul(c, a))
+        require(add(a, zero) == a, "additive identity")
+        require(mul(a, one) == a and mul(one, a) == a, "multiplicative identity")
+        require(add(a, neg(a)) == zero, "additive inverse")
+        require(add(add(a, b), c) == add(a, add(b, c)), "associativity of addition")
+        require(add(a, b) == add(b, a), "commutativity of addition")
+        require(mul(mul(a, b), c) == mul(a, mul(b, c)),
+                "associativity of multiplication")
+        require(mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), "left distributivity")
+        require(mul(add(b, c), a) == add(mul(b, a), mul(c, a)), "right distributivity")
         if ring.commutative:
-            assert ring.mul(a, b) == ring.mul(b, a)
+            require(mul(a, b) == mul(b, a), "commutativity of multiplication")
 
 
 def verify_ring_axioms(ring: FiniteRing, *, exhaustive_limit: int = AXIOM_EXHAUSTIVE_LIMIT,

@@ -94,6 +94,18 @@ def test_cli_spectrum_golden(tmp_path, capsys):
     assert doc["intersection"] == [0]
 
 
+def test_cli_spectrum_ideal_cap_counts_principal_ideals(tmp_path, capsys):
+    path = write(tmp_path, "z24.json", Z24_DOC)
+    # Z24 has 8 ideals, every one of them principal
+    assert main(["spectrum", path, "--ideal-cap", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "exceeds cap 0" in captured.err
+    assert main(["spectrum", path, "--ideal-cap", "7"]) == 2
+    capsys.readouterr()
+    assert main(["spectrum", path, "--ideal-cap", "8"]) == 0
+
+
 def test_cli_localize_and_describe(tmp_path, capsys):
     path = write(tmp_path, "z24.json", Z24_DOC)
     assert main(["localize", path]) == 0

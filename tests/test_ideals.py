@@ -4,7 +4,10 @@ import pytest
 
 from sring import (
     EmptySpectrumError,
+    Idealization,
+    ModuleSpec,
     Product,
+    TriangularE,
     ZMod,
     ZeroInClosureError,
     build_ring,
@@ -21,6 +24,7 @@ from sring import (
     spectrum_intersection,
 )
 from sring.ideals import is_ideal_mask, zero_ideal
+from sring.rings import ideal_span
 
 
 def test_ideal_generated_examples(z24):
@@ -41,20 +45,64 @@ def test_enumerate_ideals_bijects_with_divisors():
 
 
 def test_enumerate_ideals_product_by_subgroup_scan():
-    ring = build_ring(Product((ZMod(2), ZMod(2))))
-    got = {ideal.elements for ideal in enumerate_ideals(ring)}
-    # exhaustive scan over all subsets closed under + and absorbing *
-    brute = set()
-    for bits in range(16):
-        subset = [x for x in range(4) if (bits >> x) & 1]
-        if 0 not in subset:
-            continue
-        closed = all(ring.add(a, b) in subset for a in subset for b in subset)
-        absorbing = all(ring.mul(r, a) in subset
-                        for r in range(4) for a in subset)
-        if closed and absorbing:
-            brute.add(tuple(subset))
-    assert got == brute and len(got) == 4
+    # Z2xZ2 is a principal ideal ring; the other two have ideals that only
+    # a sum of principal ideals reaches
+    cases = (
+        (Product((ZMod(2), ZMod(2))), 4),
+        (Idealization(ZMod(2), ModuleSpec(((0,), (0,)))), 6),
+        (Product((ZMod(2), ZMod(4), ZMod(2))), 12),
+    )
+    for expr, count in cases:
+        ring = build_ring(expr)
+        n = ring.size
+        got = {ideal.elements for ideal in enumerate_ideals(ring)}
+        # exhaustive scan over all subsets closed under + and absorbing *
+        brute = set()
+        for bits in range(1, 1 << n, 2):
+            subset = [x for x in range(n) if (bits >> x) & 1]
+            closed = all((bits >> ring.add(a, b)) & 1
+                         for a in subset for b in subset)
+            absorbing = closed and all((bits >> ring.mul(r, a)) & 1
+                                       for r in range(n) for a in subset)
+            if absorbing:
+                brute.add(tuple(subset))
+        assert got == brute and len(got) == count, ring.label
+
+
+def _naive_two_sided_closure(ring, seeds, combine):
+    """Fixpoint of ``seeds`` under combine(x, y) and combine(y, x), all pairs."""
+    members = set(seeds)
+    while True:
+        new = {combine(x, y) for x in members for y in members}
+        new |= {combine(y, x) for x in members for y in members}
+        if new <= members:
+            return members
+        members |= new
+
+
+def test_mult_closure_matches_naive_closure_noncommutative():
+    ring = build_ring(TriangularE(ZMod(2)))
+    assert not ring.commutative
+    for g in range(ring.size):
+        for h in range(g, ring.size):
+            got = mult_closure(ring, (g, h), allow_zero=True).members
+            naive = _naive_two_sided_closure(ring, {ring.one, g, h}, ring.mul)
+            assert got == tuple(sorted(naive)), (g, h)
+
+
+def test_ideal_span_is_two_sided_noncommutative():
+    ring = build_ring(TriangularE(ZMod(2)))
+    n = ring.size
+    for gens in [(g,) for g in range(n)] + [(3, 5), (6, 9), (1, 2)]:
+        mask = ideal_span(ring, gens)
+        members = [x for x in range(n) if (mask >> x) & 1]
+        assert all((mask >> ring.add(x, y)) & 1 for x in members for y in members)
+        assert all((mask >> ring.mul(r, x)) & 1 and (mask >> ring.mul(x, r)) & 1
+                   for r in range(n) for x in members), gens
+        # and the least such set: the additive closure of every r*g*s
+        seeds = {0} | {ring.mul(ring.mul(r, g), s)
+                       for g in gens for r in range(n) for s in range(n)}
+        assert set(members) == _naive_two_sided_closure(ring, seeds, ring.add)
 
 
 def test_colon_examples(z24, z12):

@@ -18,6 +18,7 @@ from sring import (
     verify_ring_axioms,
     zero_divisor_set,
 )
+from sring.rings import ZModRing, _quick_axiom_sample
 
 
 def test_zmod_basics(z24):
@@ -63,6 +64,29 @@ def test_quotient_lagrange_sizes():
 def test_quotient_by_unit_ideal_rejected():
     with pytest.raises(MalformedExpressionError):
         build_ring(Quotient(ZMod(24), (5,)))
+
+
+class _OffByOneProduct(ZModRing):
+    """Z_n whose product is shifted by one: 1 is no multiplicative identity."""
+
+    def mul(self, a, b):
+        return (a * b + 1) % self.n
+
+
+class _SkewSum(ZModRing):
+    """Z_n whose sum doubles its first operand: 0 is no additive identity."""
+
+    def add(self, a, b):
+        return (2 * a + b) % self.n
+
+
+def test_axiom_sample_raises_instead_of_asserting():
+    # a real error, so the check survives python -O
+    with pytest.raises(MalformedExpressionError, match="Z5: multiplicative identity"):
+        _quick_axiom_sample(_OffByOneProduct(5))
+    with pytest.raises(MalformedExpressionError, match="Z6: additive identity"):
+        _quick_axiom_sample(_SkewSum(6))
+    _quick_axiom_sample(ZModRing(6))
 
 
 def test_triangular_carrier_size_and_matrix_oracle():
