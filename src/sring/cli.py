@@ -7,7 +7,9 @@ statement or a full-variant search hit, 2 usage or parse error,
 All randomness flows from --seed; reports are emitted with sorted keys and
 no timestamps, so identical invocations produce byte-identical output.
 The SRING_THREADS environment variable caps the verification worker count
-(default: available parallelism).
+(default: available parallelism); a value that is not a positive integer is
+a usage error.  Integer flags are range-checked at parse time (usage
+error): --max-degree >= 0, --budget >= 1, --count >= 0, --workers >= 1.
 """
 
 from __future__ import annotations
@@ -288,6 +290,20 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """argparse ``type=`` for integers no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sring",
@@ -307,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide one predicate on an instance")
     p.add_argument("property", choices=PROPERTIES)
     common(p)
-    p.add_argument("--max-degree", type=int, default=1)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--max-degree", type=_int_at_least(0), default=1)
+    p.add_argument("--budget", type=_int_at_least(1), default=100_000)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("spectrum", help="list the S-prime ideals with witnesses")
@@ -332,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--statement", choices=[s.name for s in StatementId])
     p.add_argument("--corpus", help="directory of ring-definition files "
                                     "(default: built-in corpus)")
-    p.add_argument("--count", type=int, default=30,
+    p.add_argument("--count", type=_int_at_least(0), default=30,
                    help="seeded instances to add to the built-in corpus")
     p.add_argument("--max-size", type=int, default=64)
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--budget", type=_int_at_least(1), default=100_000)
+    p.add_argument("--max-degree", type=_int_at_least(0), default=None)
+    p.add_argument("--workers", type=_int_at_least(1), default=None,
                    help="worker processes (default: SRING_THREADS or cpu count)")
     p.add_argument("--jsonl", default="-",
                    help="report stream destination ('-' = stdout, summary then "
@@ -351,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["full", "drop-hypothesis", "converse"])
     p.add_argument("--max-size", type=int, default=64)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--count", type=int, default=30)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--count", type=_int_at_least(0), default=30)
+    p.add_argument("--budget", type=_int_at_least(1), default=100_000)
     p.set_defaults(fn=_cmd_search)
     return parser
 

@@ -938,13 +938,18 @@ def _worker_run(index: int):
 
 
 def default_workers() -> int:
+    """SRING_THREADS when set, else the CPU count; raises SRingError when the
+    variable is set to anything but a positive integer."""
     env = os.environ.get("SRING_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise SRingError(f"SRING_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def run_catalog(instances: list[CorpusInstance], cfg: VerifyConfig | None = None,

@@ -10,16 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptySpectrumError, SRingError, ZeroInClosureError
-from .rings import FiniteRing, _coset_union, ideal_span, mask_elements
+from .rings import (
+    FiniteRing,
+    _coset_union,
+    ideal_span,
+    mask_elements,
+    require_commutative,
+)
 
 DEFAULT_IDEAL_CAP = 4096
-
-
-def _require_commutative(ring: FiniteRing) -> None:
-    if not ring.commutative:
-        raise SRingError(
-            f"{ring.label} is noncommutative; ideal-theoretic operations "
-            "are defined here for commutative carriers only")
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def ideal_from_mask(ring: FiniteRing, mask: int, gens: tuple[int, ...] = ()) -> 
 
 def ideal_generated(ring: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing ``gens``: the sum of the subgroups R*g."""
-    _require_commutative(ring)
+    require_commutative(ring, "this ideal-theoretic operation")
     gens = tuple(gens)
     return Ideal(ring, ideal_span(ring, gens), gens)
 
@@ -157,7 +156,7 @@ def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[
     with every principal ideal not already inside it.  Raises SRingError
     once more than ``cap`` distinct ideals, principal ones included, turn up.
     """
-    _require_commutative(ring)
+    require_commutative(ring, "this ideal-theoretic operation")
     by_mask: dict[int, Ideal] = {}
 
     def is_new(I: Ideal) -> bool:
@@ -268,7 +267,7 @@ def s_radical(ring: FiniteRing, S: MultiplicativeSet, I: Ideal) -> SRadicalResul
     Witnesses record the smallest such n and then the least s; the power
     search is bounded by the cycle of a's power sequence (at most |R|).
     """
-    _require_commutative(ring)
+    require_commutative(ring, "this ideal-theoretic operation")
     members = S.members
     mask = 0
     witnesses: dict[int, tuple[int, int]] = {}
@@ -316,7 +315,7 @@ def is_s_prime(S: MultiplicativeSet, P: Ideal) -> SPrimeWitness | None:
     with (P : s') prime; the two tests must agree and a disagreement raises.
     """
     ring = P.ring
-    _require_commutative(ring)
+    require_commutative(ring, "this ideal-theoretic operation")
     if not P.is_proper:
         return None
     if P.mask & S.mask:

@@ -18,21 +18,20 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, SRingError
 from .ideals import Ideal, MultiplicativeSet, ideal_from_mask, is_ideal_mask
 from .polynomials import poly
-from .rings import FiniteRing, QuotientRing, mask_elements, nilpotent_profile
-
-
-def _require_commutative(ring: FiniteRing) -> None:
-    if not ring.commutative:
-        raise SRingError(
-            f"{ring.label} is noncommutative; this predicate assumes commutativity")
+from .rings import (
+    FiniteRing,
+    QuotientRing,
+    mask_elements,
+    nilpotent_profile,
+    require_commutative,
+)
 
 
 def annihilator_mask(ring: FiniteRing, a: int) -> int:
+    """Bitmask of {x : a*x = 0} (the right annihilator), read off the solver."""
     mask = 0
-    mul = ring.mul
-    for x in range(ring.size):
-        if mul(a, x) == ring.zero:
-            mask |= 1 << x
+    for x in ring.solve_mul_all(a, ring.zero):
+        mask |= 1 << x
     return mask
 
 
@@ -96,7 +95,7 @@ def is_s_reduced(ring: FiniteRing, S: MultiplicativeSet) -> SReducedCertificate:
     The witness map records the least killer per nilpotent; a uniform
     witness valid for all nilpotents is searched as a by-product.
     """
-    _require_commutative(ring)
+    require_commutative(ring, "this predicate")
     if S.contains_zero:
         nil = sorted(nilpotent_profile(ring))
         return SReducedCertificate(True, {a: ring.zero for a in nil}, ring.zero,
@@ -126,7 +125,7 @@ def is_s_integral_domain(ring: FiniteRing, S: MultiplicativeSet) -> int | None:
 
     The quantifier order matters: one s is fixed before all pairs.
     """
-    _require_commutative(ring)
+    require_commutative(ring, "this predicate")
     if S.contains_zero:
         return ring.zero
     zero = ring.zero
@@ -193,7 +192,7 @@ class LocalizationResult:
 
 
 def localize(ring: FiniteRing, S: MultiplicativeSet) -> LocalizationResult:
-    _require_commutative(ring)
+    require_commutative(ring, "this predicate")
     zero = ring.zero
     mask = 0
     for r in range(ring.size):
@@ -256,7 +255,7 @@ class SPFResult:
 
 def is_s_pf(ring: FiniteRing, S: MultiplicativeSet) -> SPFResult:
     """Every annihilator (0 : a) must be an S-pure ideal."""
-    _require_commutative(ring)
+    require_commutative(ring, "this predicate")
     for a in range(ring.size):
         ann = annihilator(ring, a)
         res = is_s_pure(S, ann)
@@ -286,17 +285,18 @@ class HopfianEntry:
 
 def s_strongly_hopfian_profile(ring: FiniteRing,
                                S: MultiplicativeSet) -> dict[int, HopfianEntry]:
-    _require_commutative(ring)
+    require_commutative(ring, "this predicate")
     profile: dict[int, HopfianEntry] = {}
     for a in range(ring.size):
         anns = annihilator_chain(ring, a)
         top = anns[-1]
+        top_elements = mask_elements(top)
         stabilization = next(i + 1 for i, m in enumerate(anns) if m == top)
         entry = None
         for k in range(1, stabilization + 1):
             target = anns[k - 1]
             for s in S.members:
-                if all((target >> ring.mul(s, y)) & 1 for y in mask_elements(top)):
+                if all((target >> ring.mul(s, y)) & 1 for y in top_elements):
                     entry = HopfianEntry(
                         k, s, stabilization,
                         tuple(m.bit_count() for m in anns))

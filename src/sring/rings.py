@@ -4,8 +4,11 @@ Elements are canonical integer indices in ``range(ring.size)``.  Arithmetic
 is computed structurally from the expression (residues, tuples, cosets), so
 rings with tens of thousands of elements stay cheap to construct; carriers
 up to 256 elements additionally install flat operation tables, which keeps
-the solver loops of the derived constructions fast.  Index 0 is always the
-zero element.
+the solver loops of the derived constructions fast.  A product carrier
+composes its tables from its factors' rows as Kronecker sums, so building
+them costs one factor operation per pair of factor elements; the other
+carriers fill theirs entry by entry through the structured arithmetic.
+Index 0 is always the zero element.
 
 Rings are immutable after construction; every operation here is a pure
 function of its inputs, so ring values may be shared freely across workers.
@@ -18,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import MalformedExpressionError, SizeCapExceededError
+from .errors import MalformedExpressionError, SizeCapExceededError, SRingError
 
 DEFAULT_SIZE_CAP = 4096
 AXIOM_EXHAUSTIVE_LIMIT = 256
@@ -164,7 +167,9 @@ class FiniteRing:
 
         Structured arithmetic composes; for the carriers that sit at the
         bottom of the derived constructions, table lookups beat walking the
-        structure by an order of magnitude.
+        structure by an order of magnitude.  This generic build makes one
+        structured ``add`` and ``mul`` per entry; :class:`ProductRing`
+        composes its tables from its factors instead.
         """
         if self.size > limit:
             return
@@ -253,6 +258,13 @@ class FiniteRing:
         return f"<{type(self).__name__} {self.label} size={self.size}>"
 
 
+def require_commutative(ring: FiniteRing, what: str) -> None:
+    """Raise SRingError when ``ring`` is noncommutative; ``what`` names the
+    operation that assumes commutativity."""
+    if not ring.commutative:
+        raise SRingError(f"{ring.label} is noncommutative; {what} assumes commutativity")
+
+
 class ZModRing(FiniteRing):
     def __init__(self, n: int, expression=None):
         super().__init__(n, expression if expression is not None else ZMod(n), 1 % n)
@@ -319,6 +331,35 @@ class ProductRing(FiniteRing):
         super().__init__(size, expression, one)
         self.commutative = all(f.commutative for f in self.factors)
         self._install_op_tables()
+
+    def _install_op_tables(self, limit: int = OP_TABLE_LIMIT) -> None:
+        """Flat operation tables composed from the factors' rows.
+
+        An index is the sum of p_k * w_k over the factors, w_k being the
+        product of the earlier factor sizes, and every operation acts
+        componentwise.  So the row of a product element is the Kronecker sum
+        of its factors' rows scaled by w_k, folded from the first factor to
+        the last; each weighted component stays below w_{k+1}, so no sum
+        carries and every entry equals the ``_join`` of the componentwise
+        results.  Factor k costs size_k**2 calls to its own ``add``/``mul``.
+        """
+        if self.size > limit:
+            return
+        add_rows: list[list[int]] = [[0]]
+        mul_rows: list[list[int]] = [[0]]
+        neg = [0]
+        w = 1
+        for f in self.factors:
+            elems = range(f.size)
+            add_rows = _kronecker_rows(
+                add_rows, [[f.add(p, q) * w for q in elems] for p in elems])
+            mul_rows = _kronecker_rows(
+                mul_rows, [[f.mul(p, q) * w for q in elems] for p in elems])
+            neg = [f.neg(p) * w + u for p in elems for u in neg]
+            w *= f.size
+        self._add_table = list(itertools.chain.from_iterable(add_rows))
+        self._mul_table = list(itertools.chain.from_iterable(mul_rows))
+        self._neg_table = neg
 
     def _split(self, i: int) -> tuple[int, ...]:
         parts = []
@@ -387,6 +428,15 @@ class ProductRing(FiniteRing):
 
     def is_unit(self, a):
         return all(f.is_unit(x) for f, x in zip(self.factors, self._split(a)))
+
+
+def _kronecker_rows(rows: list[list[int]],
+                    factor_rows: list[list[int]]) -> list[list[int]]:
+    """Rows of the table over (factor, earlier factors) from the table over
+    the earlier factors and the scaled factor table; the factor's digit is
+    the more significant one in both the row and the column index."""
+    return [[v + u for v in frow for u in row]
+            for frow in factor_rows for row in rows]
 
 
 class QuotientRing(FiniteRing):
@@ -1002,12 +1052,11 @@ def nilpotent_profile(ring: FiniteRing) -> dict[int, int]:
 
 
 def zero_divisor_set(ring: FiniteRing) -> frozenset[int]:
-    """Nonzero elements a admitting a nonzero b with a*b == 0."""
-    out = set()
-    mul = ring.mul
-    for a in range(1, ring.size):
-        for b in range(1, ring.size):
-            if mul(a, b) == ring.zero:
-                out.add(a)
-                break
-    return frozenset(out)
+    """Nonzero elements a admitting a nonzero b with a*b == 0.
+
+    x = 0 always solves a*x = 0, so a is a zero divisor exactly when the
+    solver finds a second solution.
+    """
+    zero = ring.zero
+    return frozenset(a for a in range(1, ring.size)
+                     if len(ring.solve_mul_all(a, zero)) > 1)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from sring import MalformedExpressionError, parse_ring_data, parse_ring_file
+from sring import MalformedExpressionError, SRingError, parse_ring_data, parse_ring_file
 from sring.cli import main
+from sring.harness import default_workers
 
 
 def write(tmp_path, name, doc):
@@ -158,6 +159,55 @@ def test_cli_verify_single_statement_and_corpus_dir(tmp_path, capsys):
     assert all(r["verdict"] == "holds" for r in reports)
     summary = capsys.readouterr().out
     assert "SPECTRUM_S_ZERO" in summary
+
+
+def z6_corpus(tmp_path):
+    """Corpus directory holding one small ring file."""
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write(corpus_dir, "z6.json",
+          {"ring": {"type": "zmod", "n": 6}, "mult_set": {"generators": [2]}})
+    return str(corpus_dir)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--max-degree", "-1"),
+    ("check", "--budget", "0"),
+    ("verify", "--max-degree", "-1"),
+    ("verify", "--budget", "0"),
+    ("verify", "--count", "-3"),
+    ("verify", "--workers", "0"),
+    ("search", "--count", "-1"),
+    ("search", "--budget", "0"),
+])
+def test_cli_rejects_out_of_range_integers(tmp_path, capsys, command, flag, value):
+    if command == "check":
+        argv = ["check", "u-s-armendariz", write(tmp_path, "z24.json", Z24_DOC)]
+    elif command == "verify":
+        argv = ["verify", "--statement", "SPECTRUM_S_ZERO",
+                "--corpus", z6_corpus(tmp_path), "--jsonl", str(tmp_path / "r.jsonl")]
+    else:
+        argv = ["search", "--statement", "S_RADICAL_QUOTIENT",
+                "--variant", "drop-hypothesis", "--count", "0"]
+    assert main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected an integer >=" in captured.err
+
+
+def test_sring_threads_must_be_a_positive_integer(tmp_path, capsys, monkeypatch):
+    argv = ["verify", "--all", "--corpus", z6_corpus(tmp_path),
+            "--jsonl", str(tmp_path / "r.jsonl")]
+    monkeypatch.setenv("SRING_THREADS", "abc")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "SRING_THREADS" in captured.err
+    for bad in ("0", "-2", "1.5"):
+        monkeypatch.setenv("SRING_THREADS", bad)
+        with pytest.raises(SRingError, match="SRING_THREADS"):
+            default_workers()
+    monkeypatch.setenv("SRING_THREADS", " 3 ")
+    assert default_workers() == 3
 
 
 def test_cli_search_drop_hypothesis(capsys):

@@ -1,6 +1,11 @@
 """S-predicates: worked instances with independently computed witnesses."""
 
 from sring import (
+    Idealization,
+    ModuleSpec,
+    Product,
+    Quotient,
+    TriangularE,
     ZMod,
     build_ring,
     ideal_generated,
@@ -17,7 +22,7 @@ from sring import (
     s_strongly_hopfian_profile,
 )
 from sring.ideals import zero_ideal
-from sring.predicates import annihilator
+from sring.predicates import annihilator, annihilator_mask
 
 
 def test_s_reduced_z24(z24, s24):
@@ -135,6 +140,21 @@ def test_s_pure():
     assert res.verdict
     for a, (b, s) in res.witnesses.items():
         assert z6.mul(s, a) == z6.mul(a, b)
+
+
+def test_annihilator_mask_against_scan():
+    cases = [
+        ZMod(720),  # above the solution-cache limit
+        Product((ZMod(4), ZMod(6))),
+        Quotient(ZMod(24), (8,)),
+        Idealization(ZMod(4), ModuleSpec(((2,), (0,)))),  # two components
+        TriangularE(ZMod(2)),  # noncommutative: the right annihilator
+    ]
+    for expr in cases:
+        ring = build_ring(expr)
+        for a in range(ring.size):
+            brute = sum(1 << x for x in range(ring.size) if ring.mul(a, x) == 0)
+            assert annihilator_mask(ring, a) == brute, (ring.label, a)
 
 
 def test_s_pf():

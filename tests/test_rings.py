@@ -1,5 +1,6 @@
 """Ring construction, arithmetic, and classification against brute oracles."""
 
+import copy
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from sring import (
     verify_ring_axioms,
     zero_divisor_set,
 )
-from sring.rings import ZModRing, _quick_axiom_sample
+from sring.rings import ProductRing, ZModRing, _quick_axiom_sample
 
 
 def test_zmod_basics(z24):
@@ -174,6 +175,36 @@ def test_zero_divisors_against_scan():
         got = zero_divisor_set(ring)
         brute = {a for a in range(1, n) if any((a * b) % n == 0 for b in range(1, n))}
         assert got == brute == expected
+
+
+def _without_tables(ring):
+    """Copy of ``ring`` whose arithmetic walks the structure (product
+    factors included) instead of reading operation tables."""
+    plain = copy.copy(ring)
+    plain._add_table = plain._mul_table = plain._neg_table = None
+    if isinstance(ring, ProductRing):
+        plain.factors = tuple(_without_tables(f) for f in ring.factors)
+    return plain
+
+
+def test_composed_product_tables_match_structured_arithmetic():
+    cases = [
+        Product((ZMod(16), ZMod(16))),
+        Product((ZMod(2), ZMod(4), ZMod(2))),
+        Product((ZMod(3), Product((ZMod(2), ZMod(4))), ZMod(5))),
+        Product((Quotient(ZMod(8), (4,)), ZMod(6))),
+        Product((TriangularE(ZMod(2)), ZMod(3))),  # noncommutative factor
+    ]
+    for expr in cases:
+        ring = build_ring(expr)
+        assert ring._mul_table is not None, ring.label
+        plain = _without_tables(ring)
+        n = ring.size
+        for a in range(n):
+            assert ring.neg(a) == plain.neg(a), (ring.label, a)
+            for b in range(n):
+                assert ring.add(a, b) == plain.add(a, b), (ring.label, a, b)
+                assert ring.mul(a, b) == plain.mul(a, b), (ring.label, a, b)
 
 
 def test_encode_decode_roundtrip():
