@@ -8,6 +8,7 @@ canonical element index so reports are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EmptySpectrumError, SRingError, ZeroInClosureError
 from .rings import (
@@ -23,11 +24,18 @@ DEFAULT_IDEAL_CAP = 4096
 
 @dataclass(frozen=True)
 class Ideal:
+    """An ideal as a membership bitmask over element indices.
+
+    ``elements``, the members in ascending index order, is decoded from the
+    mask on first access and kept; it is not a field, so equality and
+    hashing see only ``ring``, ``mask`` and ``gens``.
+    """
+
     ring: FiniteRing
     mask: int
     gens: tuple[int, ...] = ()
 
-    @property
+    @cached_property
     def elements(self) -> tuple[int, ...]:
         return mask_elements(self.mask)
 
@@ -59,14 +67,18 @@ class Ideal:
 
 @dataclass(frozen=True)
 class MultiplicativeSet:
-    """Multiplicatively closed subset containing 1; zero only by explicit flag."""
+    """Multiplicatively closed subset containing 1; zero only by explicit flag.
+
+    ``members``, in ascending index order, is decoded from the mask on first
+    access and kept; it is not a field, so equality and hashing do not see it.
+    """
 
     ring: FiniteRing
     mask: int
     gens: tuple[int, ...]
     allow_zero: bool = False
 
-    @property
+    @cached_property
     def members(self) -> tuple[int, ...]:
         return mask_elements(self.mask)
 
@@ -302,10 +314,19 @@ def s_nilradical(ring: FiniteRing, S: MultiplicativeSet) -> SRadicalResult:
 # S-primes
 
 
-def _zero_product_pairs_outside(ring: FiniteRing, P: Ideal) -> list[tuple[int, int]]:
-    outside = [a for a in range(ring.size) if not (P.mask >> a) & 1]
-    return [(a, b) for a in outside for b in outside
-            if (P.mask >> ring.mul(a, b)) & 1]
+def _s_prime_by_definition(P: Ideal, s: int) -> bool:
+    """Whether ab in P forces sa or sb in P, for all a, b.
+
+    Only elements a with sa outside P can break s, so s passes iff no two
+    of them (a <= b suffices, the ring being commutative) multiply into P.
+    """
+    mask, mul = P.mask, P.ring.mul
+    rest = [a for a in range(P.ring.size) if not (mask >> mul(s, a)) & 1]
+    for i, a in enumerate(rest):
+        for b in rest[i:]:
+            if (mask >> mul(a, b)) & 1:
+                return False
+    return True
 
 
 def is_s_prime(S: MultiplicativeSet, P: Ideal) -> SPrimeWitness | None:
@@ -320,11 +341,9 @@ def is_s_prime(S: MultiplicativeSet, P: Ideal) -> SPrimeWitness | None:
         return None
     if P.mask & S.mask:
         return None
-    pairs = _zero_product_pairs_outside(ring, P)
     definitional = None
     for s in S.members:
-        if all((P.mask >> ring.mul(s, a)) & 1 or (P.mask >> ring.mul(s, b)) & 1
-               for a, b in pairs):
+        if _s_prime_by_definition(P, s):
             definitional = s
             break
     colon_hit = None

@@ -130,8 +130,7 @@ def is_s_integral_domain(ring: FiniteRing, S: MultiplicativeSet) -> int | None:
         return ring.zero
     zero = ring.zero
     mul = ring.mul
-    pairs = [(a, b) for a in range(ring.size) for b in range(ring.size)
-             if mul(a, b) == zero]
+    pairs = [(a, b) for a in range(ring.size) for b in ring.solve_mul_all(a, zero)]
     for s in S.members:
         if all(mul(s, a) == zero or mul(s, b) == zero for a, b in pairs):
             return s
@@ -193,11 +192,9 @@ class LocalizationResult:
 
 def localize(ring: FiniteRing, S: MultiplicativeSet) -> LocalizationResult:
     require_commutative(ring, "this predicate")
-    zero = ring.zero
     mask = 0
-    for r in range(ring.size):
-        if any(ring.mul(s, r) == zero for s in S.members):
-            mask |= 1 << r
+    for s in S.members:
+        mask |= annihilator_mask(ring, s)
     if not is_ideal_mask(ring, mask):
         raise SRingError(f"S-torsion set of {ring.label} is not an ideal")
     torsion = ideal_from_mask(ring, mask)
@@ -426,27 +423,36 @@ def zero_product_poly_pairs(ring: FiniteRing, degree: int, *, mode: str = "auto"
 
     Exhaustive mode requires size**(2*degree+2) <= exhaustive_budget and
     emits every pair exactly once; sampled mode emits ``budget`` genuine
-    pairs drawn from the given seed (duplicates possible).
+    pairs drawn from the given seed (duplicates possible).  Arguments are
+    checked when the function is called, before the first pair is drawn.
     """
-    mode = _resolve_mode(ring, degree, mode, exhaustive_budget)
+    mode = _resolve_mode(ring, degree, mode, budget, exhaustive_budget)
     if mode == "exhaustive":
         src = _exhaustive_vector_pairs(ring, degree)
     else:
         src = _sampled_vector_pairs(ring, degree, seed, budget)
-    for a, b in src:
-        yield poly(a), poly(b)
+    return ((poly(a), poly(b)) for a, b in src)
 
 
-def _resolve_mode(ring: FiniteRing, degree: int, mode: str,
+def _resolve_mode(ring: FiniteRing, degree: int, mode: str, budget: int,
                   exhaustive_budget: int) -> str:
+    """The search mode to run; rejects a search that would check nothing.
+
+    A negative degree has no polynomials, and a sampled search with a
+    budget below 1 draws no pair: either would be vacuously true.
+    """
+    if degree < 0:
+        raise SRingError(f"degree must be >= 0, got {degree}")
     space = ring.size ** (2 * degree + 2)
     if mode == "auto":
-        return "exhaustive" if space <= exhaustive_budget else "sampled"
-    if mode == "exhaustive" and space > exhaustive_budget:
+        mode = "exhaustive" if space <= exhaustive_budget else "sampled"
+    elif mode == "exhaustive" and space > exhaustive_budget:
         raise BudgetExceededError(
             f"exhaustive pair space {space} exceeds budget {exhaustive_budget}")
-    if mode not in ("exhaustive", "sampled"):
+    elif mode not in ("exhaustive", "sampled"):
         raise SRingError(f"unknown search mode {mode!r}")
+    if mode == "sampled" and budget < 1:
+        raise SRingError(f"sampled search needs a budget >= 1, got {budget}")
     return mode
 
 
@@ -531,7 +537,7 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     Factor order is preserved, so the check is meaningful on the
     noncommutative triangular carrier as well.
     """
-    resolved = _resolve_mode(ring, degree, mode, exhaustive_budget)
+    resolved = _resolve_mode(ring, degree, mode, budget, exhaustive_budget)
     if S.contains_zero:
         return ArmendarizVerdict(degree, resolved, seed, budget, 0, ring.zero,
                                  True, {}, None, None, degenerate=True)

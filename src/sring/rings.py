@@ -808,12 +808,11 @@ class TriangularERing(FiniteRing):
 
 
 def _mask_elements(mask: int):
-    x = 0
+    """Indices of the set bits of ``mask``, ascending; one step per set bit."""
     while mask:
-        if mask & 1:
-            yield x
-        mask >>= 1
-        x += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def mask_elements(mask: int) -> tuple[int, ...]:

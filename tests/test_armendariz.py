@@ -8,6 +8,7 @@ from sring import (
     BudgetExceededError,
     Idealization,
     ModuleSpec,
+    SRingError,
     TriangularE,
     ZMod,
     build_ring,
@@ -129,3 +130,35 @@ def test_degenerate_set_short_circuits():
     degenerate = mult_closure(z4, (2,), allow_zero=True)
     verdict = is_u_s_armendariz_up_to(z4, degenerate, 1, mode="exhaustive")
     assert verdict.degenerate and verdict.uniform_witness == 0
+
+
+@pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
+def test_negative_degree_is_rejected(mode):
+    z8 = build_ring(ZMod(8))
+    ones = mult_closure(z8, (1,))
+    # degree -1 has no polynomials; a verdict on it would be vacuously green
+    with pytest.raises(SRingError, match="degree"):
+        is_u_s_armendariz_up_to(z8, ones, -1, mode=mode)
+    with pytest.raises(SRingError, match="degree"):
+        zero_product_poly_pairs(z8, -1, mode=mode)
+    degenerate = mult_closure(z8, (2,), allow_zero=True)
+    with pytest.raises(SRingError, match="degree"):
+        is_u_s_armendariz_up_to(z8, degenerate, -1, mode=mode)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_sampled_budget_below_one_is_rejected(budget):
+    z8 = build_ring(ZMod(8))
+    ones = mult_closure(z8, (1,))
+    # a sampled search that draws no pair must not report a uniform witness
+    with pytest.raises(SRingError, match="budget"):
+        is_u_s_armendariz_up_to(z8, ones, 1, mode="sampled", budget=budget)
+    with pytest.raises(SRingError, match="budget"):
+        zero_product_poly_pairs(z8, 1, mode="sampled", budget=budget)
+    # auto mode that resolves to sampled is held to the same rule
+    with pytest.raises(SRingError, match="budget"):
+        is_u_s_armendariz_up_to(z8, ones, 1, mode="auto", budget=budget,
+                                exhaustive_budget=1)
+    # an exhaustive search ignores the sampling budget and still runs
+    verdict = is_u_s_armendariz_up_to(z8, ones, 1, mode="exhaustive", budget=budget)
+    assert verdict.pairs_checked > 0

@@ -1,0 +1,186 @@
+"""Brute-force oracles for the mask decoder, the S-prime test, the
+S-integral-domain predicate and the localization kernel.
+
+Each reference is the plain definition written out here, with no shortcut
+the library takes: bit-by-bit decoding, the full list of pairs outside P
+with a product in P, and n^2 or n*|S| scans.
+"""
+
+import itertools
+
+import pytest
+
+from sring import (
+    Product,
+    ZMod,
+    ZeroInClosureError,
+    build_ring,
+    enumerate_ideals,
+    ideal_generated,
+    is_s_integral_domain,
+    localize,
+    mult_closure,
+)
+from sring.ideals import Ideal, MultiplicativeSet, is_s_prime
+from sring.rings import mask_elements
+
+
+def naive_mask_elements(mask):
+    out = []
+    x = 0
+    while mask:
+        if mask & 1:
+            out.append(x)
+        mask >>= 1
+        x += 1
+    return tuple(out)
+
+
+def test_mask_elements_against_bit_loop():
+    dense = (1 << 720) - 1
+    masks = [0, 1, 2, 3, 1 << 719, (1 << 719) | 1, (1 << 500) | (1 << 64) | (1 << 63),
+             dense, dense ^ (1 << 360) ^ 1,
+             sum(1 << i for i in range(0, 720, 7))]
+    for mask in masks:
+        assert mask_elements(mask) == naive_mask_elements(mask)
+    assert mask_elements(0) == ()
+    assert mask_elements(1) == (0,)
+    assert mask_elements(1 << 719) == (719,)
+    assert mask_elements(dense) == tuple(range(720))
+
+
+def _mult_sets(ring, gens):
+    out = []
+    for g in gens:
+        try:
+            out.append(mult_closure(ring, (g,)))
+        except ZeroInClosureError:
+            continue
+    return out
+
+
+def naive_is_s_prime(S, P):
+    """(least definitional s, least colon s, colon prime mask) or None."""
+    ring, mask = P.ring, P.mask
+    n = ring.size
+    if mask.bit_count() == n or mask & S.mask:
+        return None
+    outside = [a for a in range(n) if not (mask >> a) & 1]
+    pairs = [(a, b) for a in outside for b in outside
+             if (mask >> ring.mul(a, b)) & 1]
+    members = naive_mask_elements(S.mask)
+    definitional = next(
+        (s for s in members
+         if all((mask >> ring.mul(s, a)) & 1 or (mask >> ring.mul(s, b)) & 1
+                for a, b in pairs)),
+        None)
+    colon = None
+    for s in members:
+        cmask = sum(1 << r for r in range(n) if (mask >> ring.mul(r, s)) & 1)
+        out_c = [a for a in range(n) if not (cmask >> a) & 1]
+        if out_c and not any((cmask >> ring.mul(a, b)) & 1
+                             for a in out_c for b in out_c):
+            colon = (s, cmask)
+            break
+    assert (definitional is None) == (colon is None)
+    if definitional is None:
+        return None
+    return definitional, colon[0], colon[1]
+
+
+def _s_prime_cases():
+    for n in range(2, 73):
+        ring = build_ring(ZMod(n))
+        gens = sorted({g % n for g in (1, 2, 3, 5, 6, n - 1, n // 2 + 1)} - {0})
+        yield ring, _mult_sets(ring, gens)
+    for factors, lits in (
+            ((ZMod(4), ZMod(6)),
+             [(1, 1), (2, 1), (1, 2), (3, 5), (2, 3), (0, 1), (1, 0)]),
+            ((ZMod(2), ZMod(4), ZMod(2)),
+             [(1, 1, 1), (1, 2, 1), (0, 1, 1), (1, 3, 0), (1, 0, 1)])):
+        ring = build_ring(Product(factors))
+        yield ring, _mult_sets(ring, [ring.encode(lit) for lit in lits])
+
+
+def test_is_s_prime_against_pair_list_definition():
+    checked = primes = 0
+    for ring, sets in _s_prime_cases():
+        assert sets
+        for I in enumerate_ideals(ring):
+            for S in sets:
+                want = naive_is_s_prime(S, I)
+                got = is_s_prime(S, I)
+                checked += 1
+                if want is None:
+                    assert got is None, (ring.label, I, S)
+                    continue
+                primes += 1
+                assert got is not None, (ring.label, I, S)
+                assert (got.s, got.colon_s, got.colon_prime.mask) == want
+    # both verdicts occur often enough for the comparison to mean something
+    assert checked > 1500 and 300 < primes < checked - 300
+
+
+def naive_s_integral_domain(ring, S):
+    n = ring.size
+    pairs = [(a, b) for a in range(n) for b in range(n)
+             if ring.mul(a, b) == ring.zero]
+    for s in naive_mask_elements(S.mask):
+        if all(ring.mul(s, a) == ring.zero or ring.mul(s, b) == ring.zero
+               for a, b in pairs):
+            return s
+    return None
+
+
+def naive_torsion_mask(ring, S):
+    return sum(1 << r for r in range(ring.size)
+               if any(ring.mul(s, r) == ring.zero
+                      for s in naive_mask_elements(S.mask)))
+
+
+def _predicate_cases():
+    for n in (4, 6, 8, 9, 12, 24, 30, 36, 72, 100):
+        ring = build_ring(ZMod(n))
+        yield ring, _mult_sets(ring, [g for g in (1, 2, 3, 5, 6, 10) if g < n])
+    for factors in ((ZMod(4), ZMod(6)), (ZMod(16), ZMod(16)),
+                    (ZMod(2), ZMod(4), ZMod(2))):
+        ring = build_ring(Product(factors))
+        k = len(factors)
+        lits = [tuple(v) for v in itertools.product((0, 1, 2, 3), repeat=k)]
+        yield ring, _mult_sets(ring, [ring.encode(lit) for lit in lits[::3]])
+
+
+def test_is_s_integral_domain_against_scan():
+    verdicts = set()
+    for ring, sets in _predicate_cases():
+        for S in sets:
+            want = naive_s_integral_domain(ring, S)
+            assert is_s_integral_domain(ring, S) == want, (ring.label, S)
+            verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_localize_torsion_against_scan():
+    for ring, sets in _predicate_cases():
+        for S in sets:
+            loc = localize(ring, S)
+            assert loc.torsion_kernel.mask == naive_torsion_mask(ring, S)
+            assert loc.torsion_kernel.elements == naive_mask_elements(
+                naive_torsion_mask(ring, S))
+
+
+@pytest.mark.parametrize("n", [24, 720])
+def test_cached_decoding_keeps_equality_and_hash(n):
+    ring = build_ring(ZMod(n))
+    I = ideal_generated(ring, (6,))
+    S = mult_closure(ring, (5,))
+    I2 = Ideal(ring, I.mask, I.gens)
+    S2 = MultiplicativeSet(ring, S.mask, S.gens, S.allow_zero)
+    assert "elements" not in vars(I) and "members" not in vars(S)
+    before = (hash(I), hash(S), I == I2, S == S2)
+    assert I.elements == naive_mask_elements(I.mask)
+    assert S.members == naive_mask_elements(S.mask)
+    assert I.elements is I.elements and S.members is S.members
+    assert (hash(I), hash(S), I == I2, S == S2) == before == (hash(I2), hash(S2), True, True)
+    assert {I, I2} == {I} and {S, S2} == {S}
+    assert Ideal(ring, I.mask, ()) != I
