@@ -16,6 +16,7 @@ from .rings import (
     _coset_union,
     ideal_span,
     mask_elements,
+    power_cycle,
     require_commutative,
 )
 
@@ -213,14 +214,20 @@ def colon_elem(I: Ideal, x: int) -> Ideal:
 
 
 def is_prime_ideal(I: Ideal) -> bool:
-    """Proper, and ab in I forces a in I or b in I."""
+    """Proper, and ab in I forces a in I or b in I.
+
+    The ring is commutative, so each unordered pair a <= b outside I is
+    tested once.
+    """
     ring = I.ring
+    require_commutative(ring, "this ideal-theoretic operation")
     if not I.is_proper:
         return False
-    outside = [a for a in range(ring.size) if not (I.mask >> a) & 1]
-    for a in outside:
-        for b in outside:
-            if (I.mask >> ring.mul(a, b)) & 1:
+    mask, mul = I.mask, ring.mul
+    outside = [a for a in range(ring.size) if not (mask >> a) & 1]
+    for i, a in enumerate(outside):
+        for b in outside[i:]:
+            if (mask >> mul(a, b)) & 1:
                 return False
     return True
 
@@ -284,20 +291,12 @@ def s_radical(ring: FiniteRing, S: MultiplicativeSet, I: Ideal) -> SRadicalResul
     mask = 0
     witnesses: dict[int, tuple[int, int]] = {}
     for a in range(ring.size):
-        p = a
-        n = 1
-        seen = set()
-        while True:
+        for n, p in enumerate(power_cycle(ring, a), 1):
             hit = next((s for s in members if (I.mask >> ring.mul(s, p)) & 1), None)
             if hit is not None:
                 mask |= 1 << a
                 witnesses[a] = (hit, n)
                 break
-            if p in seen:
-                break
-            seen.add(p)
-            p = ring.mul(p, a)
-            n += 1
     result = Ideal(ring, mask, ())
     return SRadicalResult(result, witnesses, mask == I.mask)
 

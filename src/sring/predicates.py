@@ -23,6 +23,7 @@ from .rings import (
     QuotientRing,
     mask_elements,
     nilpotent_profile,
+    power_cycle,
     require_commutative,
 )
 
@@ -46,14 +47,11 @@ def annihilator_chain(ring: FiniteRing, a: int) -> list[int]:
     on it is constant, so the last mask is the value it stabilizes at.
     """
     anns = []
-    p = a
-    seen = set()
-    while True:
+    for p in power_cycle(ring, a):
         anns.append(annihilator_mask(ring, p))
-        if p in seen or p == ring.zero:
-            return anns
-        seen.add(p)
-        p = ring.mul(p, a)
+        if p == ring.zero:
+            break
+    return anns
 
 
 def is_reduced(ring: FiniteRing) -> bool:
@@ -312,13 +310,6 @@ def s_strongly_hopfian_profile(ring: FiniteRing,
 # Zero-product polynomial pairs
 
 
-def _conv_coeff(ring: FiniteRing, a, b, k: int, deg: int) -> int:
-    t = ring.zero
-    for i in range(max(0, k - deg), min(k, deg) + 1):
-        t = ring.add(t, ring.mul(a[i], b[k - i]))
-    return t
-
-
 def _exhaustive_vector_pairs(ring: FiniteRing, degree: int):
     """All coefficient-vector pairs (a, b) of length degree+1 with a*b = 0.
 
@@ -426,20 +417,19 @@ def zero_product_poly_pairs(ring: FiniteRing, degree: int, *, mode: str = "auto"
     pairs drawn from the given seed (duplicates possible).  Arguments are
     checked when the function is called, before the first pair is drawn.
     """
-    mode = _resolve_mode(ring, degree, mode, budget, exhaustive_budget)
-    if mode == "exhaustive":
-        src = _exhaustive_vector_pairs(ring, degree)
-    else:
-        src = _sampled_vector_pairs(ring, degree, seed, budget)
+    _, src = _vector_pair_source(ring, degree, mode, seed, budget, exhaustive_budget)
     return ((poly(a), poly(b)) for a, b in src)
 
 
-def _resolve_mode(ring: FiniteRing, degree: int, mode: str, budget: int,
-                  exhaustive_budget: int) -> str:
-    """The search mode to run; rejects a search that would check nothing.
+def _vector_pair_source(ring: FiniteRing, degree: int, mode: str, seed: int,
+                        budget: int, exhaustive_budget: int):
+    """The search mode to run and its stream of coefficient-vector pairs.
 
-    A negative degree has no polynomials, and a sampled search with a
-    budget below 1 draws no pair: either would be vacuously true.
+    ``auto`` enumerates exhaustively when size**(2*degree+2) fits in
+    ``exhaustive_budget`` and samples otherwise.  Rejects a search that would
+    check nothing: a negative degree has no polynomials, and a sampled
+    search with a budget below 1 draws no pair; either would be vacuously
+    true.  The stream is lazy, so no pair is drawn before it is iterated.
     """
     if degree < 0:
         raise SRingError(f"degree must be >= 0, got {degree}")
@@ -451,9 +441,11 @@ def _resolve_mode(ring: FiniteRing, degree: int, mode: str, budget: int,
             f"exhaustive pair space {space} exceeds budget {exhaustive_budget}")
     elif mode not in ("exhaustive", "sampled"):
         raise SRingError(f"unknown search mode {mode!r}")
-    if mode == "sampled" and budget < 1:
+    if mode == "exhaustive":
+        return mode, _exhaustive_vector_pairs(ring, degree)
+    if budget < 1:
         raise SRingError(f"sampled search needs a budget >= 1, got {budget}")
-    return mode
+    return mode, _sampled_vector_pairs(ring, degree, seed, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +529,13 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     Factor order is preserved, so the check is meaningful on the
     noncommutative triangular carrier as well.
     """
-    resolved = _resolve_mode(ring, degree, mode, budget, exhaustive_budget)
+    resolved, src = _vector_pair_source(ring, degree, mode, seed, budget,
+                                        exhaustive_budget)
     if S.contains_zero:
         return ArmendarizVerdict(degree, resolved, seed, budget, 0, ring.zero,
                                  True, {}, None, None, degenerate=True)
     members = S.members
     mul = ring.mul
-    if resolved == "exhaustive":
-        src = _exhaustive_vector_pairs(ring, degree)
-        used_seed: int | None = None
-    else:
-        src = _sampled_vector_pairs(ring, degree, seed, budget)
-        used_seed = seed
     # which members kill a given product, memoized as a bitmask over the
     # member list; products repeat heavily so this dominates nothing
     full_mask = (1 << len(members)) - 1
@@ -595,7 +582,7 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     return ArmendarizVerdict(
         degree=degree,
         mode=resolved,
-        seed=used_seed,
+        seed=None if resolved == "exhaustive" else seed,
         budget=budget,
         pairs_checked=pairs,
         uniform_witness=uniform_witness,

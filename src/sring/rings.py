@@ -7,8 +7,10 @@ up to 256 elements additionally install flat operation tables, which keeps
 the solver loops of the derived constructions fast.  A product carrier
 composes its tables from its factors' rows as Kronecker sums, so building
 them costs one factor operation per pair of factor elements; the other
-carriers fill theirs entry by entry through the structured arithmetic.
-Index 0 is always the zero element.
+carriers fill theirs entry by entry through the structured arithmetic.  An
+idealization is its base ring acting on one module ring, the product of its
+cyclic components, so each of its operations and solvers takes one path
+whatever the shape of the module.  Index 0 is always the zero element.
 
 Rings are immutable after construction; every operation here is a pure
 function of its inputs, so ring values may be shared freely across workers.
@@ -519,96 +521,66 @@ class QuotientRing(FiniteRing):
 
 
 class IdealizationRing(FiniteRing):
-    """Pairs (r, m) over base ring and module; (0, m) squares to zero."""
+    """Pairs (r, m): the base ring R acting on the module ring M.
+
+    M is the :class:`ProductRing` of the cyclic components R/J_k, and R acts
+    through ``act[r]`` = (r + J_1, ..., r + J_k); then r*m is the product
+    act[r]*m in M, kept for every pair in ``_scaled``, indexed like the
+    carrier itself.  Index r * |M| + m names (r, m), and
+    (r1, m1)(r2, m2) = (r1r2, r1m2 + r2m1), so (0, m) squares to zero.  Every
+    operation is one base operation and one module operation, whatever the
+    number of components.
+    """
 
     def __init__(self, base: FiniteRing, components: tuple[QuotientRing, ...],
                  expression=None):
         self.base = base
-        self.components = tuple(components)
-        self.module_size = math.prod(c.size for c in self.components)
-        size = base.size * self.module_size
+        self.module = module = ProductRing(tuple(components))
+        self.module_size = ms = module.size
         if expression is None:
-            module = ModuleSpec(tuple(() for _ in self.components))
-            expression = Idealization(base.expression, module)
-        super().__init__(size, expression, base.one * self.module_size)
+            spec = ModuleSpec(tuple(() for _ in module.factors))
+            expression = Idealization(base.expression, spec)
+        super().__init__(base.size * ms, expression, base.one * ms)
         self.commutative = base.commutative
-        # single full-module component (the R(+)R shape) skips the
-        # coset tables entirely; it dominates the verification workload
-        self._full_module = (len(self.components) == 1
-                             and self.components[0].size == base.size)
+        self._act = [module._join(c.project(r) for c in module.factors)
+                     for r in range(base.size)]
+        self._scaled = [module.mul(u, m) for u in self._act for m in range(ms)]
         self._install_op_tables()
 
-    def _split(self, i: int) -> tuple[int, tuple[int, ...]]:
-        r, m = divmod(i, self.module_size)
-        if len(self.components) == 1:
-            return r, (m,)
-        parts = []
-        for c in self.components:
-            m, p = divmod(m, c.size)
-            parts.append(p)
-        return r, tuple(parts)
-
     def _join(self, r: int, parts) -> int:
-        parts = tuple(parts)
-        if len(parts) == 1:
-            return r * self.module_size + parts[0]
-        m = 0
-        for c, p in zip(reversed(self.components), reversed(parts)):
-            m = m * c.size + p
-        return r * self.module_size + m
+        return r * self.module_size + self.module._join(parts)
 
     def add(self, a, b):
         table = self._add_table
         if table is not None:
             return table[a * self.size + b]
-        if self._full_module:
-            ms = self.module_size
-            B = self.base
-            r1, m1 = divmod(a, ms)
-            r2, m2 = divmod(b, ms)
-            return B.add(r1, r2) * ms + B.add(m1, m2)
-        r1, m1 = self._split(a)
-        r2, m2 = self._split(b)
-        return self._join(
-            self.base.add(r1, r2),
-            (c.add(x, y) for c, x, y in zip(self.components, m1, m2)),
-        )
+        ms = self.module_size
+        r1, m1 = divmod(a, ms)
+        r2, m2 = divmod(b, ms)
+        return self.base.add(r1, r2) * ms + self.module.add(m1, m2)
 
     def neg(self, a):
         table = self._neg_table
         if table is not None:
             return table[a]
-        if self._full_module:
-            ms = self.module_size
-            B = self.base
-            r, m = divmod(a, ms)
-            return B.neg(r) * ms + B.neg(m)
-        r, m = self._split(a)
-        return self._join(self.base.neg(r),
-                          (c.neg(x) for c, x in zip(self.components, m)))
+        ms = self.module_size
+        r, m = divmod(a, ms)
+        return self.base.neg(r) * ms + self.module.neg(m)
 
     def mul(self, a, b):
         table = self._mul_table
         if table is not None:
             return table[a * self.size + b]
-        if self._full_module:
-            ms = self.module_size
-            B = self.base
-            r1, m1 = divmod(a, ms)
-            r2, m2 = divmod(b, ms)
-            return B.mul(r1, r2) * ms + B.add(B.mul(r1, m2), B.mul(r2, m1))
-        r1, m1 = self._split(a)
-        r2, m2 = self._split(b)
-        parts = (
-            c.add(c.mul(c.project(r1), y), c.mul(c.project(r2), x))
-            for c, x, y in zip(self.components, m1, m2)
-        )
-        return self._join(self.base.mul(r1, r2), parts)
+        ms = self.module_size
+        scaled = self._scaled
+        r1, m1 = divmod(a, ms)
+        r2, m2 = divmod(b, ms)
+        return (self.base.mul(r1, r2) * ms
+                + self.module.add(scaled[r1 * ms + m2], scaled[r2 * ms + m1]))
 
     def decode(self, index):
-        r, m = self._split(index)
-        return (self.base.decode(r),
-                tuple(c.decode(x) for c, x in zip(self.components, m)))
+        r, m = divmod(index, self.module_size)
+        return (self.base.decode(r), self.module.decode(m))
 
     def encode(self, literal):
         literal = freeze_literal(literal)
@@ -617,73 +589,45 @@ class IdealizationRing(FiniteRing):
                 f"expected [r, [components...]] literal for {self.label}, got {literal!r}"
             )
         r_lit, m_lits = literal
-        if not isinstance(m_lits, tuple) or len(m_lits) != len(self.components):
+        if not isinstance(m_lits, tuple) or len(m_lits) != len(self.module.factors):
             raise MalformedExpressionError(
                 f"module part of an {self.label} literal must list "
-                f"{len(self.components)} component(s), got {m_lits!r}"
+                f"{len(self.module.factors)} component(s), got {m_lits!r}"
             )
-        return self._join(
-            self.base.encode(r_lit),
-            (c.encode(x) for c, x in zip(self.components, m_lits)),
-        )
+        return self.base.encode(r_lit) * self.module_size + self.module.encode(m_lits)
 
     def _solve_all(self, a, t):
-        r, m = self._split(a)
-        tr, tm = self._split(t)
+        # (r, m)(y, x) = (ry, rx + ym): y solves the base equation, then x
+        # solves act[r]*x = tm - y*m in the module; both lists ascend
+        ms = self.module_size
+        module, scaled = self.module, self._scaled
+        r, m = divmod(a, ms)
+        tr, tm = divmod(t, ms)
+        ar = self._act[r]
         out = []
         for y in self.base.solve_mul_all(r, tr):
-            per_comp = []
-            ok = True
-            for c, mk, tk in zip(self.components, m, tm):
-                target = c.sub(tk, c.mul(c.project(y), mk))
-                sols = c.solve_mul_all(c.project(r), target)
-                if not sols:
-                    ok = False
-                    break
-                per_comp.append(sols)
-            if ok:
-                out.extend(self._join(y, parts)
-                           for parts in itertools.product(*per_comp))
-        out.sort()
+            yms = y * ms
+            out.extend(yms + x for x in
+                       module.solve_mul_all(ar, module.sub(tm, scaled[yms + m])))
         return out
 
     def _solve_random(self, a, t, rng):
-        if self._full_module:
-            ms = self.module_size
-            B = self.base
-            r, m = divmod(a, ms)
-            tr, tm = divmod(t, ms)
-            ys = B.solve_mul_all(r, tr)
-            if not ys:
-                return None
-            start = int(rng.random() * len(ys))
-            for k in range(min(len(ys), 16)):
-                y = ys[(start + k) % len(ys)]
-                mu = B.solve_mul_random(r, B.sub(tm, B.mul(y, m)), rng)
-                if mu is not None:
-                    return y * ms + mu
-            return None
-        # the module equations are solvable or not depending on y, so walk
-        # the y-candidates from a random offset instead of blind retries
-        r, m = self._split(a)
-        tr, tm = self._split(t)
+        # the module equation is solvable or not depending on y, so walk the
+        # y-candidates from a random offset instead of blind retries
+        ms = self.module_size
+        module, scaled = self.module, self._scaled
+        r, m = divmod(a, ms)
+        tr, tm = divmod(t, ms)
         ys = self.base.solve_mul_all(r, tr)
         if not ys:
             return None
+        ar = self._act[r]
         start = int(rng.random() * len(ys))
         for k in range(min(len(ys), 16)):
-            y = ys[(start + k) % len(ys)]
-            parts = []
-            ok = True
-            for c, mk, tk in zip(self.components, m, tm):
-                target = c.sub(tk, c.mul(c.project(y), mk))
-                sol = c.solve_mul_random(c.project(r), target, rng)
-                if sol is None:
-                    ok = False
-                    break
-                parts.append(sol)
-            if ok:
-                return self._join(y, parts)
+            yms = ys[(start + k) % len(ys)] * ms
+            x = module.solve_mul_random(ar, module.sub(tm, scaled[yms + m]), rng)
+            if x is not None:
+                return yms + x
         return None
 
 
@@ -1030,23 +974,31 @@ def verify_ring_axioms(ring: FiniteRing, *, exhaustive_limit: int = AXIOM_EXHAUS
 # Elementwise classification
 
 
+def power_cycle(ring: FiniteRing, a: int):
+    """Yield a, a**2, a**3, ... up to and including the first power equal to
+    an earlier one.
+
+    The power sequence of an element of a finite ring is eventually
+    periodic, so the walk ends within ring.size + 1 powers; once a power is
+    0, the next one repeats it.
+    """
+    seen = set()
+    p = a
+    while p not in seen:
+        yield p
+        seen.add(p)
+        p = ring.mul(p, a)
+    yield p
+
+
 def nilpotent_profile(ring: FiniteRing) -> dict[int, int]:
     """Map each nilpotent element to the least n >= 1 with a**n == 0."""
     profile: dict[int, int] = {}
     for a in range(ring.size):
-        p = a
-        n = 1
-        seen = set()
-        while True:
+        for n, p in enumerate(power_cycle(ring, a), 1):
             if p == ring.zero:
                 profile[a] = n
                 break
-            if p in seen:
-                break
-            seen.add(p)
-            p = ring.mul(p, a)
-            n += 1
-        # the power sequence cycles within ring.size steps, so the loop halts
     return profile
 
 

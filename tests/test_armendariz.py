@@ -71,6 +71,18 @@ def test_sampled_stream_is_genuine_and_deterministic(z24):
            [(f.coeffs, g.coeffs) for f, g in again]
 
 
+def test_sampled_stream_is_genuine_on_multi_component_idealization():
+    # Z16(+)(0;2) has 512 elements, above the operation-table limit, and a
+    # module of two components of unequal size
+    ring = build_ring(Idealization(ZMod(16), ModuleSpec(((0,), (2,)))))
+    pairs = list(zero_product_poly_pairs(ring, 1, mode="sampled", seed=4,
+                                         budget=400))
+    assert len(pairs) == 400
+    for f, g in pairs:
+        assert poly_multiply(ring, f, g).is_zero
+    assert any(not g.is_zero for _, g in pairs)
+
+
 def test_uniform_verdict_z12_exhaustive(z12, s12):
     verdict = is_u_s_armendariz_up_to(z12, s12, 2, mode="exhaustive")
     assert verdict.mode == "exhaustive"

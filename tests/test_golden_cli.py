@@ -22,6 +22,10 @@ CASES = [("spectrum", "z288_s22")] + [
     for ring in ("z720_s2", "z16xz16_s6_11")
     for command in ("localize", "check s-integral-domain", "check s-pf",
                     "check s-strongly-hopfian")
+] + [
+    # Z24(+)Z24 (576 elements, above the operation-table limit), S = <(5, (0))>
+    ("check u-s-armendariz --max-degree 1 --budget 3000 --seed 5",
+     "z24_idealization_s5"),
 ]
 
 
@@ -32,6 +36,6 @@ def test_single_ring_command_matches_golden(command, ring, monkeypatch):
     with contextlib.redirect_stdout(buf):
         code = main(command.split() + [f"rings/{ring}.json"])
     assert code == 0
-    name = command.replace(" ", "-")
+    name = "-".join(command.split()[:2])  # the command, without its flags
     expected = (GOLDEN / "cli" / f"{name}-{ring}.json").read_bytes()
     assert buf.getvalue().encode() == expected

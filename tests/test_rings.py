@@ -155,9 +155,40 @@ def test_exhaustive_axioms_on_small_constructions():
         assert not verify_ring_axioms(ring), ring.label
 
 
+# idealizations above OP_TABLE_LIMIT, so their arithmetic walks the
+# structure: one full-module component, and two components of unequal size
+Z24_IDEALIZATION = Idealization(ZMod(24), ModuleSpec(((0,),)))  # 576 elements
+Z16_TWO_COMPONENTS = Idealization(ZMod(16), ModuleSpec(((0,), (2,))))  # 512
+
+
 def test_sampled_axioms_on_large_carrier():
     ring = build_ring(TriangularE(ZMod(12)), size_cap=30000)
     assert not verify_ring_axioms(ring, samples=20_000)
+    for expr in (Z24_IDEALIZATION, Z16_TWO_COMPONENTS):
+        ring = build_ring(expr)
+        assert not verify_ring_axioms(ring, samples=20_000), ring.label
+
+
+def test_large_idealization_arithmetic_on_literals():
+    """add/mul/neg against (r1 + r2, m1 + m2), (r1r2, r1m2 + r2m1) and
+    (-r, -m) worked out on decoded literals, component k modulo its n_k."""
+    rng = random.Random(11)
+    for expr, moduli in ((Z24_IDEALIZATION, (24,)), (Z16_TWO_COMPONENTS, (16, 2))):
+        ring = build_ring(expr)
+        assert ring.size > 256 and ring._mul_table is None, ring.label
+        n = expr.base.n
+        for _ in range(3000):
+            a, b = rng.randrange(ring.size), rng.randrange(ring.size)
+            (r1, m1), (r2, m2) = ring.decode(a), ring.decode(b)
+            assert ring.encode((r1, m1)) == a
+            total = ((r1 + r2) % n,
+                     tuple((x + y) % q for x, y, q in zip(m1, m2, moduli)))
+            product = ((r1 * r2) % n,
+                       tuple((r1 * y + r2 * x) % q for x, y, q in zip(m1, m2, moduli)))
+            negated = (-r1 % n, tuple(-x % q for x, q in zip(m1, moduli)))
+            assert ring.decode(ring.add(a, b)) == total
+            assert ring.decode(ring.mul(a, b)) == product
+            assert ring.decode(ring.neg(a)) == negated
 
 
 def test_nilpotent_profile_examples(z24):
@@ -229,19 +260,29 @@ def test_solve_mul_matches_scan():
         Quotient(ZMod(24), (4,)),
         Idealization(ZMod(4), ModuleSpec(((2,),))),
         TriangularE(ZMod(3)),
+        Z24_IDEALIZATION,
+        Z16_TWO_COMPONENTS,
     ]
     for expr in exprs:
         ring = build_ring(expr, size_cap=4096)
         for _ in range(60):
             a = rng.randrange(ring.size)
-            t = rng.randrange(ring.size)
-            expected = [x for x in range(ring.size) if ring.mul(a, x) == t]
-            assert ring.solve_mul_all(a, t) == expected
-            pick = ring.solve_mul_random(a, t, rng)
-            if expected:
-                assert pick in expected
-            else:
-                assert pick is None
+            # a random target, and one that is solvable by construction
+            for t in (rng.randrange(ring.size), ring.mul(a, rng.randrange(ring.size))):
+                expected = [x for x in range(ring.size) if ring.mul(a, x) == t]
+                assert ring.solve_mul_all(a, t) == expected
+                pick = ring.solve_mul_random(a, t, rng)
+                if not expected:
+                    assert pick is None
+                elif pick is None:
+                    # without a solution cache the idealization walks at most
+                    # 16 of the base solutions y of r*y = tr; only then may it
+                    # miss
+                    assert ring.size > 256 and isinstance(expr, Idealization)
+                    r, tr = a // ring.module_size, t // ring.module_size
+                    assert len(ring.base.solve_mul_all(r, tr)) > 16
+                else:
+                    assert pick in expected
 
 
 def test_product_structure():
