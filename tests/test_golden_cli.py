@@ -1,10 +1,11 @@
-"""Single-ring commands against their recorded stdout, byte for byte.
+"""CLI commands against their recorded stdout, byte for byte.
 
-The verify stream digest does not cover ``spectrum``, ``localize`` or
-``check``; these goldens do.  Each command reads a ring file from
-``golden/rings`` by a relative path, so the manifest (which names the input
-path and its sha256) is the same on every checkout.  Regenerate a golden only
-when a change to the output is intended, and say so with the change.
+The verify stream digest does not cover ``spectrum``, ``localize``,
+``check`` or ``search``; these goldens do.  Each single-ring command reads a
+ring file from ``golden/rings`` by a relative path, so the manifest (which
+names the input path and its sha256) is the same on every checkout; ``search``
+scans the built-in corpus.  Regenerate a golden only when a change to the
+output is intended, and say so with the change.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from sring.cli import main
+from sring.harness import StatementId
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,14 +30,40 @@ CASES = [("spectrum", "z288_s22")] + [
      "z24_idealization_s5"),
 ]
 
+SEARCHES = [f"search --statement {stmt.name} --variant {variant} --budget 2000"
+            for stmt in StatementId for variant in ("drop-hypothesis", "converse")]
 
-@pytest.mark.parametrize("command,ring", CASES)
-def test_single_ring_command_matches_golden(command, ring, monkeypatch):
+
+def golden_name(command: str, ring: str | None = None) -> str:
+    """File name of a command's golden.
+
+    A single-ring command is named by its first two words and its ring, so
+    flags stay out of file names.  Every search starts ``search --statement``,
+    so a search is named by its statement and variant instead.
+    """
+    words = command.split()
+    if words[0] == "search":
+        flags = dict(zip(words[1::2], words[2::2]))
+        return f"search-{flags['--statement']}-{flags['--variant']}"
+    return f"{'-'.join(words[:2])}-{ring}"
+
+
+def run_golden(argv: list[str], name: str, monkeypatch) -> None:
     monkeypatch.chdir(GOLDEN)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(command.split() + [f"rings/{ring}.json"])
+        code = main(argv)
     assert code == 0
-    name = "-".join(command.split()[:2])  # the command, without its flags
-    expected = (GOLDEN / "cli" / f"{name}-{ring}.json").read_bytes()
+    expected = (GOLDEN / "cli" / f"{name}.json").read_bytes()
     assert buf.getvalue().encode() == expected
+
+
+@pytest.mark.parametrize("command,ring", CASES)
+def test_single_ring_command_matches_golden(command, ring, monkeypatch):
+    run_golden(command.split() + [f"rings/{ring}.json"],
+               golden_name(command, ring), monkeypatch)
+
+
+@pytest.mark.parametrize("command", SEARCHES)
+def test_search_matches_golden(command, monkeypatch):
+    run_golden(command.split(), golden_name(command), monkeypatch)
