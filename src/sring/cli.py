@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     except SizeCapExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SIZE_CAP
-    except (MalformedExpressionError, FileNotFoundError, SRingError) as exc:
+    except (MalformedExpressionError, OSError, SRingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -1,10 +1,11 @@
 """Statement catalog, corpus generation, and counterexample search.
 
-Every cataloged statement compiles to an executable check over one
-(ring, multiplicative set) instance.  Hypothesis failures are a distinct
-verdict from holds/VIOLATED: the side conditions (0 not in S, S-reduced,
-S disjoint from the zero divisors) fail often on random instances and a
-vacuously green suite would be worthless.
+Every cataloged statement is an implication over one (ring, multiplicative
+set) instance, defined once by its hypotheses and its conclusion; verify
+and the searcher's variants all evaluate that definition.  Hypothesis
+failures are a distinct verdict from holds/VIOLATED: the side conditions
+(0 not in S, S-reduced, S disjoint from the zero divisors) fail often on
+random instances and a vacuously green suite would be worthless.
 
 A VIOLATED verdict always carries a re-checkable payload listing the
 concrete elements and ideals involved.  Statement checks are pure, so the
@@ -20,7 +21,8 @@ import itertools
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 from .errors import MalformedExpressionError, SizeCapExceededError, SRingError, ZeroInClosureError
 from .ideals import (
@@ -323,27 +325,15 @@ class InstanceContext:
         return self._memo("s_reduced", lambda: is_s_reduced(self.ring, self.S))
 
     @property
-    def u_s_witness(self):
-        return self.s_reduced.uniform_witness
-
-    @property
     def nil_mask(self) -> int:
         """Bitmask of the nilradical."""
         return self._memo("nil_mask",
                           lambda: sum(1 << a for a in self.nilpotents))
 
     @property
-    def reduced(self) -> bool:
-        return len(self.nilpotents) == 1
-
-    @property
-    def zero_divisors(self) -> frozenset[int]:
-        return self._memo("zdiv", lambda: zero_divisor_set(self.ring))
-
-    @property
     def s_meets_zero_divisors(self) -> bool:
         return self._memo("s_meets_zdiv",
-                          lambda: bool(set(self.S.members) & self.zero_divisors))
+                          lambda: bool(set(self.S.members) & zero_divisor_set(self.ring)))
 
     @property
     def primes_missing_s(self) -> tuple[list[Ideal], int]:
@@ -356,6 +346,10 @@ class InstanceContext:
                 inter &= P.mask
             return primes, inter
         return self._memo("primes_missing_s", compute)
+
+    @property
+    def s_pf(self):
+        return self._memo("s_pf", lambda: is_s_pf(self.ring, self.S))
 
     @property
     def localization(self):
@@ -385,65 +379,105 @@ class InstanceContext:
         return [self.lit(x) for x in xs]
 
 
-def _degenerate_guard(ctx: InstanceContext):
-    if ctx.S.contains_zero:
-        return ({"nondegenerate_mult_set": False}, HYP_NOT_MET,
-                {"reason": "0 lies in the multiplicative set"},
-                ("degenerate: 0 in S",))
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Statement checkers.  Each returns (hypotheses, verdict, details, notes).
+# Statements.  Each is an implication, hypotheses => conclusion, over one
+# instance; verify, drop-hypothesis and converse all read the one definition.
 
 
-def _armendariz_plan(size: int, cfg: VerifyConfig) -> tuple[int, str]:
-    if size <= cfg.exhaustive_size_limit:
-        return cfg.exhaustive_degree, "exhaustive"
-    return cfg.sampled_degree, "sampled"
+@dataclass(frozen=True)
+class Statement:
+    """One cataloged implication.
+
+    ``hypotheses(ctx)`` maps each hypothesis name to whether it holds, and
+    ``conclusion(ctx)`` returns ``(ok, details)``.  ``bounds(ctx)`` lists
+    ``(quantity, value, limit)`` scope bounds that keep the conclusion
+    affordable: they print as ``quantity<=limit`` after the hypotheses, a
+    hypothesis-not-met report carries their values, and the searcher never
+    drops them.  ``unmet(ctx)`` adds details to a hypothesis-not-met report.
+    ``records(ctx)``, when set, gives the searcher one
+    ``(hypotheses, (ok, details))`` pair per record instead of the
+    instance-wide pair.
+    """
+    hypotheses: Callable[[InstanceContext], dict]
+    conclusion: Callable[[InstanceContext], tuple[bool, dict]]
+    notes: tuple[str, ...] = ()
+    bounds: Callable[[InstanceContext], tuple] = lambda ctx: ()
+    unmet: Callable[[InstanceContext], dict] = lambda ctx: {}
+    records: Callable[[InstanceContext], list] | None = None
+
+
+STATEMENTS: dict[StatementId, Statement] = {}
+
+
+def _statement(statement_id: StatementId, hypotheses, **parts):
+    """Register the decorated function as the conclusion of ``statement_id``."""
+    def register(conclusion):
+        STATEMENTS[statement_id] = Statement(hypotheses, conclusion, **parts)
+        return conclusion
+    return register
+
+
+def _s_reduced(ctx: InstanceContext) -> dict:
+    return {"s_reduced": ctx.s_reduced.verdict}
+
+
+def _u_s_reduced(ctx: InstanceContext) -> dict:
+    return {"u_s_reduced": ctx.s_reduced.uniform_witness is not None}
+
+
+_S_ARTINIAN_NOTE = ("degenerate hypothesis: every finite ring is S-Artinian "
+                    "(stationarity read as s*I_k inside I_n for n >= k)")
 
 
 def _radical_quotient_records(ctx: InstanceContext) -> list[dict]:
     """Per proper ideal: hypothesis status plus both sides of the equivalence."""
-    out = []
-    for I in ctx.proper_ideals:
-        q = ctx.quotient(I)
-        sbar = ctx.projected_set(q)
-        if sbar is None:
-            out.append({"ideal": ctx.lits(I.elements), "hyp_ok": False,
-                        "reason": "projected set contains 0", "lhs": None, "rhs": None})
-            continue
-        zdiv_q = zero_divisor_set(q)
-        hyp_ok = not (zdiv_q & set(sbar.members))
-        lhs = s_radical(ctx.ring, ctx.S, I).is_s_radical
-        rhs = is_s_reduced(q, sbar).verdict
-        out.append({"ideal": ctx.lits(I.elements), "hyp_ok": hyp_ok,
-                    "lhs": lhs, "rhs": rhs})
-    return out
+    def compute():
+        out = []
+        for I in ctx.proper_ideals:
+            q = ctx.quotient(I)
+            sbar = ctx.projected_set(q)
+            if sbar is None:
+                out.append({"ideal": ctx.lits(I.elements), "hyp_ok": False,
+                            "reason": "projected set contains 0", "lhs": None, "rhs": None})
+                continue
+            zdiv_q = zero_divisor_set(q)
+            hyp_ok = not (zdiv_q & set(sbar.members))
+            lhs = s_radical(ctx.ring, ctx.S, I).is_s_radical
+            rhs = is_s_reduced(q, sbar).verdict
+            out.append({"ideal": ctx.lits(I.elements), "hyp_ok": hyp_ok,
+                        "lhs": lhs, "rhs": rhs})
+        return out
+    return ctx._memo("radical_quotient_records", compute)
 
 
-def _check_s_radical_quotient(ctx: InstanceContext):
+def _radical_quotient_cases(ctx: InstanceContext) -> list:
+    # a quotient whose projected set contains 0 has no S-reducedness to
+    # compare, just as an instance with 0 in S has no verdict
+    return [({"quotient_zero_divisors_avoiding_S": r["hyp_ok"]},
+             (r["lhs"] == r["rhs"], {"ideal": r["ideal"], "s_radical": r["lhs"],
+                                     "quotient_s_reduced": r["rhs"]}))
+            for r in _radical_quotient_records(ctx) if r["lhs"] is not None]
+
+
+@_statement(StatementId.S_RADICAL_QUOTIENT,
+            lambda ctx: {"nondegenerate_mult_set": True,
+                         "some_ideal_with_quotient_zero_divisors_avoiding_S":
+                             any(r["hyp_ok"] for r in _radical_quotient_records(ctx))},
+            unmet=lambda ctx: _radical_quotient(ctx)[1],
+            records=_radical_quotient_cases)
+def _radical_quotient(ctx: InstanceContext):
     records = _radical_quotient_records(ctx)
     checked = [r for r in records if r["hyp_ok"]]
     violations = [r for r in checked if r["lhs"] != r["rhs"]]
-    hyp = {"nondegenerate_mult_set": True,
-           "some_ideal_with_quotient_zero_divisors_avoiding_S": bool(checked)}
-    details = {"ideals_checked": len(checked),
-               "ideals_skipped": len(records) - len(checked),
-               "violations": violations}
-    if violations:
-        return hyp, VIOLATED, details, ()
-    if not checked:
-        return hyp, HYP_NOT_MET, details, ()
-    return hyp, HOLDS, details, ()
+    return not violations, {"ideals_checked": len(checked),
+                            "ideals_skipped": len(records) - len(checked),
+                            "violations": violations}
 
 
-def _check_intersection_vs_product(ctx: InstanceContext):
-    hyp = {"s_reduced": ctx.s_reduced.verdict,
-           f"ideal_count<={ctx.cfg.ideal_pair_limit}":
-               len(ctx.ideals) <= ctx.cfg.ideal_pair_limit}
-    if not all(hyp.values()):
-        return hyp, HYP_NOT_MET, {"ideal_count": len(ctx.ideals)}, ()
+@_statement(StatementId.INTERSECTION_VS_PRODUCT, _s_reduced,
+            bounds=lambda ctx: (("ideal_count", len(ctx.ideals),
+                                 ctx.cfg.ideal_pair_limit),))
+def _intersection_vs_product(ctx: InstanceContext):
     violations = []
     pairs = 0
     ideals = ctx.ideals
@@ -456,15 +490,13 @@ def _check_intersection_vs_product(ctx: InstanceContext):
                 violations.append({"I": ctx.lits(I.elements), "J": ctx.lits(J.elements),
                                    "intersection_s_zero": inter_ok,
                                    "product_s_zero": prod_ok})
-    details = {"pairs_checked": pairs, "violations": violations}
-    return hyp, VIOLATED if violations else HOLDS, details, ()
+    return not violations, {"pairs_checked": pairs, "violations": violations}
 
 
-def _check_spectrum_s_zero(ctx: InstanceContext):
-    hyp = {"s_reduced": ctx.s_reduced.verdict,
-           "zero_not_in_S": not ctx.S.contains_zero}
-    if not all(hyp.values()):
-        return hyp, HYP_NOT_MET, {}, ()
+@_statement(StatementId.SPECTRUM_S_ZERO,
+            lambda ctx: {"s_reduced": ctx.s_reduced.verdict,
+                         "zero_not_in_S": not ctx.S.contains_zero})
+def _spectrum_s_zero(ctx: InstanceContext):
     inter = spectrum_intersection(ctx.ring, ctx.S, spectrum=ctx.spectrum)
     witnesses = {}
     missing = []
@@ -474,17 +506,15 @@ def _check_spectrum_s_zero(ctx: InstanceContext):
             missing.append(ctx.lit(x))
         else:
             witnesses[str(ctx.lit(x))] = ctx.lit(s)
-    details = {"spectrum_size": len(ctx.spectrum),
-               "intersection": ctx.lits(inter.elements),
-               "witnesses": witnesses, "unwitnessed": missing}
-    return hyp, VIOLATED if missing else HOLDS, details, ()
+    return not missing, {"spectrum_size": len(ctx.spectrum),
+                         "intersection": ctx.lits(inter.elements),
+                         "witnesses": witnesses, "unwitnessed": missing}
 
 
-def _check_nils_in_colon(ctx: InstanceContext):
-    hyp = {"nondegenerate_mult_set": not ctx.S.contains_zero,
-           "spectrum_nonempty": bool(ctx.spectrum)}
-    if not all(hyp.values()):
-        return hyp, HYP_NOT_MET, {}, ()
+@_statement(StatementId.NILS_IN_COLON,
+            lambda ctx: {"nondegenerate_mult_set": not ctx.S.contains_zero,
+                         "spectrum_nonempty": bool(ctx.spectrum)})
+def _nils_in_colon(ctx: InstanceContext):
     nil_mask = ctx.nil_s.ideal.mask
     entries = []
     violations = []
@@ -499,62 +529,54 @@ def _check_nils_in_colon(ctx: InstanceContext):
             violations.append({**entry, "reason": "S-nilradical escapes colon ideal",
                                "escaping": extra})
         entries.append(entry)
-    details = {"primes": entries, "violations": violations,
-               "nil_s": ctx.lits(ctx.nil_s.ideal.elements)}
-    return hyp, VIOLATED if violations else HOLDS, details, ()
+    return not violations, {"primes": entries, "violations": violations,
+                            "nil_s": ctx.lits(ctx.nil_s.ideal.elements)}
 
 
-def _check_nils_s_zero(ctx: InstanceContext):
-    hyp = {"s_reduced": ctx.s_reduced.verdict}
-    if not hyp["s_reduced"]:
-        return hyp, HYP_NOT_MET, {}, ()
+@_statement(StatementId.NILS_S_ZERO, _s_reduced)
+def _nils_s_zero(ctx: InstanceContext):
     missing = [ctx.lit(a) for a in ctx.nil_s.ideal.elements
                if is_s_zero_element(ctx.ring, ctx.S, a) is None]
-    details = {"nil_s": ctx.lits(ctx.nil_s.ideal.elements), "unwitnessed": missing}
-    return hyp, VIOLATED if missing else HOLDS, details, ()
+    return not missing, {"nil_s": ctx.lits(ctx.nil_s.ideal.elements),
+                         "unwitnessed": missing}
 
 
-def _check_localization_reduced(ctx: InstanceContext):
-    hyp = {"s_reduced": ctx.s_reduced.verdict}
-    if not hyp["s_reduced"]:
-        return hyp, HYP_NOT_MET, {}, ()
+@_statement(StatementId.LOCALIZATION_REDUCED, _s_reduced)
+def _localization_reduced(ctx: InstanceContext):
     loc = ctx.localization
     ok = is_reduced(loc.ring)
-    details = {"kernel": ctx.lits(loc.torsion_kernel.elements),
-               "localized_size": loc.ring.size, "localized_reduced": ok}
-    return hyp, HOLDS if ok else VIOLATED, details, ()
+    return ok, {"kernel": ctx.lits(loc.torsion_kernel.elements),
+                "localized_size": loc.ring.size, "localized_reduced": ok}
 
 
-def _check_localization_artinian(ctx: InstanceContext):
+def _localization_artinian_hypotheses(ctx: InstanceContext) -> dict:
+    loc = ctx.localization.ring
+    zdiv = zero_divisor_set(loc)
+    return {"s_noetherian": True,  # every finite ring is
+            "s_reduced": ctx.s_reduced.verdict,
+            "localized_elements_zero_divisor_or_unit":
+                all(loc.is_unit(x) or x in zdiv for x in range(1, loc.size))}
+
+
+@_statement(StatementId.LOCALIZATION_ARTINIAN, _localization_artinian_hypotheses,
+            notes=("degenerate hypotheses: every finite ring is S-Noetherian and Artinian",))
+def _localization_artinian(ctx: InstanceContext):
     loc = ctx.localization
-    zd_or_unit = all(
-        loc.ring.is_unit(x) or any(loc.ring.mul(x, y) == loc.ring.zero
-                                   for y in range(1, loc.ring.size))
-        for x in range(1, loc.ring.size))
-    hyp = {"s_noetherian": True,  # every finite ring is
-           "s_reduced": ctx.s_reduced.verdict,
-           "localized_elements_zero_divisor_or_unit": zd_or_unit}
-    notes = ("degenerate hypotheses: every finite ring is S-Noetherian and Artinian",)
-    if not all(hyp.values()):
-        return hyp, HYP_NOT_MET, {}, notes
     loc_ideals = enumerate_ideals(loc.ring, cap=ctx.cfg.ideal_cap)
     primes = [I for I in loc_ideals if is_prime_ideal(I)]
     non_maximal = [I for I in primes if not is_maximal_ideal(I, loc_ideals)]
-    details = {"localized_size": loc.ring.size,
-               "prime_count": len(primes),
-               "all_primes_maximal": not non_maximal}
-    return hyp, VIOLATED if non_maximal else HOLDS, details, notes
+    return not non_maximal, {"localized_size": loc.ring.size,
+                             "prime_count": len(primes),
+                             "all_primes_maximal": not non_maximal}
 
 
-def _check_product_of_fields(ctx: InstanceContext):
+@_statement(StatementId.PRODUCT_OF_FIELDS,
+            lambda ctx: {"reduced": len(ctx.nilpotents) == 1,
+                         "S_avoids_zero_divisors": not ctx.s_meets_zero_divisors,
+                         "s_artinian": True},
+            notes=(_S_ARTINIAN_NOTE,))
+def _product_of_fields(ctx: InstanceContext):
     ring = ctx.ring
-    hyp = {"reduced": ctx.reduced,
-           "S_avoids_zero_divisors": not ctx.s_meets_zero_divisors,
-           "s_artinian": True}
-    notes = ("degenerate hypothesis: every finite ring is S-Artinian "
-             "(stationarity read as s*I_k inside I_n for n >= k)",)
-    if not all(hyp.values()):
-        return hyp, HYP_NOT_MET, {}, notes
     primes, inter = ctx.primes_missing_s
     failures = []
     for P in primes:
@@ -571,35 +593,31 @@ def _check_product_of_fields(ctx: InstanceContext):
                                  "P": ctx.lits(P.elements), "Q": ctx.lits(Q.elements)})
     quotients = [ctx.quotient(P) for P in primes]
     if failures:
-        return hyp, VIOLATED, {"failures": failures}, notes
+        return False, {"failures": failures}
     product = ProductRing(tuple(quotients))
-    def phi(r: int) -> int:
-        return product._join(q.project(r) for q in quotients)
-    images = {phi(r) for r in range(ring.size)}
-    if len(images) != ring.size or product.size != ring.size:
+    phi = [product._join(q.project(r) for q in quotients) for r in range(ring.size)]
+    if len(set(phi)) != ring.size or product.size != ring.size:
         failures.append({"reason": "map not bijective",
-                         "image_size": len(images), "product_size": product.size})
+                         "image_size": len(set(phi)), "product_size": product.size})
     else:
-        for a in range(ring.size):
-            fa = phi(a)
-            for b in range(ring.size):
-                if phi(ring.add(a, b)) != product.add(fa, phi(b)) or \
-                   phi(ring.mul(a, b)) != product.mul(fa, phi(b)):
-                    failures.append({"reason": "map not a homomorphism",
-                                     "a": ctx.lit(a), "b": ctx.lit(b)})
-                    break
-            if failures:
-                break
+        bad = next(((a, b) for a in range(ring.size) for b in range(ring.size)
+                    if phi[ring.add(a, b)] != product.add(phi[a], phi[b])
+                    or phi[ring.mul(a, b)] != product.mul(phi[a], phi[b])), None)
+        if bad is not None:
+            failures.append({"reason": "map not a homomorphism",
+                             "a": ctx.lit(bad[0]), "b": ctx.lit(bad[1])})
     for q in quotients:
         if not all(q.is_unit(x) for x in range(1, q.size)):
             failures.append({"reason": "quotient is not a field", "size": q.size})
-    details = {"field_sizes": sorted(q.size for q in quotients),
-               "products_verified": ring.size * ring.size,
-               "failures": failures}
-    return hyp, VIOLATED if failures else HOLDS, details, notes
+    return not failures, {"field_sizes": sorted(q.size for q in quotients),
+                          "products_verified": ring.size * ring.size,
+                          "failures": failures}
 
 
-def _check_poly_transfer(ctx: InstanceContext):
+# 0 in S never reaches a conclusion (check_statement reports it as degenerate)
+@_statement(StatementId.POLY_TRANSFER,
+            lambda ctx: {"nondegenerate_mult_set": not ctx.S.contains_zero})
+def _poly_transfer(ctx: InstanceContext):
     ring, S = ctx.ring, ctx.S
     nilp = sorted(ctx.nilpotents)
     degree = 2
@@ -627,82 +645,61 @@ def _check_poly_transfer(ctx: InstanceContext):
             violating = [ctx.lit(c) for c in vec]
             break
     ring_ok = ctx.s_reduced.verdict
-    details = {"degree": degree, "mode": mode, "polynomials_checked": count,
-               "ring_s_reduced": ring_ok, "nilpotent_poly_side": poly_ok,
-               "violating_coefficients": violating}
-    hyp = {"nondegenerate_mult_set": not S.contains_zero}
-    if not hyp["nondegenerate_mult_set"]:
-        return hyp, HYP_NOT_MET, details, ()
-    return hyp, HOLDS if ring_ok == poly_ok else VIOLATED, details, ()
+    return ring_ok == poly_ok, {"degree": degree, "mode": mode,
+                                "polynomials_checked": count,
+                                "ring_s_reduced": ring_ok, "nilpotent_poly_side": poly_ok,
+                                "violating_coefficients": violating}
 
 
-def _check_u_s_red_implies_arm(ctx: InstanceContext):
-    hyp = {"u_s_reduced": ctx.u_s_witness is not None}
-    if not hyp["u_s_reduced"]:
-        return hyp, HYP_NOT_MET, {}, ()
-    degree, mode = _armendariz_plan(ctx.ring.size, ctx.cfg)
+def _uniform_test(ctx: InstanceContext, tag: str, carrier: FiniteRing,
+                  S: MultiplicativeSet):
+    """The uniform zero-product test on ``carrier``, seeded by ``tag``.
+
+    Small carriers are searched exhaustively to the higher degree, larger
+    ones sampled within the budget.  A carrier built over the instance ring
+    also reports its size and the size of its multiplicative set.
+    """
+    if carrier.size <= ctx.cfg.exhaustive_size_limit:
+        degree, mode = ctx.cfg.exhaustive_degree, "exhaustive"
+    else:
+        degree, mode = ctx.cfg.sampled_degree, "sampled"
     verdict = is_u_s_armendariz_up_to(
-        ctx.ring, ctx.S, degree, mode=mode,
-        seed=derive_seed(ctx.cfg.seed, "usred-arm", ctx.instance.label),
+        carrier, S, degree, mode=mode,
+        seed=derive_seed(ctx.cfg.seed, tag, ctx.instance.label),
         budget=ctx.cfg.budget)
-    details = verdict.to_json(ctx.ring)
-    return hyp, HOLDS if verdict.uniform_ok else VIOLATED, details, ()
+    details = verdict.to_json(carrier)
+    if carrier is not ctx.ring:
+        details = {"carrier_size": carrier.size,
+                   "mult_set_size": len(S.members), **details}
+    return verdict.uniform_ok, details
 
 
-def _constant_quadruple_set(ring: FiniteRing, e_ring: TriangularERing,
-                            S: MultiplicativeSet) -> MultiplicativeSet:
-    gens = tuple(e_ring._join(s, s, s, s) for s in S.members)
-    return mult_closure(e_ring, gens)
+@_statement(StatementId.U_S_RED_IMPLIES_U_S_ARM, _u_s_reduced)
+def _u_s_red_implies_arm(ctx: InstanceContext):
+    return _uniform_test(ctx, "usred-arm", ctx.ring, ctx.S)
 
 
-def _check_e_ring_armendariz(ctx: InstanceContext):
-    hyp = {"s_reduced": ctx.s_reduced.verdict,
-           f"base_size<={ctx.cfg.e_base_limit}": ctx.ring.size <= ctx.cfg.e_base_limit}
-    if not all(hyp.values()):
-        return hyp, HYP_NOT_MET, {"base_size": ctx.ring.size}, ()
+@_statement(StatementId.E_RING_ARMENDARIZ, _s_reduced,
+            bounds=lambda ctx: (("base_size", ctx.ring.size, ctx.cfg.e_base_limit),))
+def _e_ring_armendariz(ctx: InstanceContext):
     e_ring = TriangularERing(ctx.ring)
-    S_prime = _constant_quadruple_set(ctx.ring, e_ring, ctx.S)
-    degree, mode = _armendariz_plan(e_ring.size, ctx.cfg)
-    verdict = is_u_s_armendariz_up_to(
-        e_ring, S_prime, degree, mode=mode,
-        seed=derive_seed(ctx.cfg.seed, "e-ring", ctx.instance.label),
-        budget=ctx.cfg.budget)
-    details = {"carrier_size": e_ring.size,
-               "mult_set_size": len(S_prime.members),
-               **verdict.to_json(e_ring)}
-    return hyp, HOLDS if verdict.uniform_ok else VIOLATED, details, ()
+    constant_quadruples = mult_closure(
+        e_ring, tuple(e_ring._join(s, s, s, s) for s in ctx.S.members))
+    return _uniform_test(ctx, "e-ring", e_ring, constant_quadruples)
 
 
-def _square_pair_set(ring: FiniteRing, rr: IdealizationRing,
-                     S: MultiplicativeSet) -> MultiplicativeSet:
-    gens = tuple(rr._join(ring.mul(s, s), (s,)) for s in S.members)
-    return mult_closure(rr, gens)
-
-
-def _check_idealization_armendariz(ctx: InstanceContext):
-    size_sq = ctx.ring.size ** 2
-    hyp = {"u_s_reduced": ctx.u_s_witness is not None,
-           f"extension_size<={ctx.cfg.extension_size_cap}":
-               size_sq <= ctx.cfg.extension_size_cap}
-    if not all(hyp.values()):
-        return hyp, HYP_NOT_MET, {"extension_size": size_sq}, ()
+@_statement(StatementId.IDEALIZATION_ARMENDARIZ, _u_s_reduced,
+            bounds=lambda ctx: (("extension_size", ctx.ring.size ** 2,
+                                 ctx.cfg.extension_size_cap),))
+def _idealization_armendariz(ctx: InstanceContext):
     rr = IdealizationRing(ctx.ring, (QuotientRing(ctx.ring, 1),))
-    S2 = _square_pair_set(ctx.ring, rr, ctx.S)
-    degree, mode = _armendariz_plan(rr.size, ctx.cfg)
-    verdict = is_u_s_armendariz_up_to(
-        rr, S2, degree, mode=mode,
-        seed=derive_seed(ctx.cfg.seed, "idealization", ctx.instance.label),
-        budget=ctx.cfg.budget)
-    details = {"carrier_size": rr.size,
-               "mult_set_size": len(S2.members),
-               **verdict.to_json(rr)}
-    return hyp, HOLDS if verdict.uniform_ok else VIOLATED, details, ()
+    square_pairs = mult_closure(
+        rr, tuple(rr._join(ctx.ring.mul(s, s), (s,)) for s in ctx.S.members))
+    return _uniform_test(ctx, "idealization", rr, square_pairs)
 
 
-def _check_s_reduced_implies_hopfian(ctx: InstanceContext):
-    hyp = {"s_reduced": ctx.s_reduced.verdict}
-    if not hyp["s_reduced"]:
-        return hyp, HYP_NOT_MET, {}, ()
+@_statement(StatementId.S_REDUCED_IMPLIES_HOPFIAN, _s_reduced)
+def _s_reduced_implies_hopfian(ctx: InstanceContext):
     ring, S = ctx.ring, ctx.S
     violations = []
     max_k = 0
@@ -725,52 +722,54 @@ def _check_s_reduced_implies_hopfian(ctx: InstanceContext):
                                        "s": ctx.lit(s), "y": ctx.lit(y)})
                     break
         max_k = max(max_k, len(anns))
-    details = {"elements_profiled": ring.size, "longest_chain": max_k,
-               "violations": violations}
-    return hyp, VIOLATED if violations else HOLDS, details, ()
+    return not violations, {"elements_profiled": ring.size, "longest_chain": max_k,
+                            "violations": violations}
 
 
-def _check_s_pf_implies_s_reduced(ctx: InstanceContext):
-    pf = is_s_pf(ctx.ring, ctx.S)
-    hyp = {"s_pf": pf.verdict}
-    if not pf.verdict:
-        return hyp, HYP_NOT_MET, {"failing_annihilator_of": ctx.lit(pf.failing)}, ()
+@_statement(StatementId.S_PF_IMPLIES_S_REDUCED,
+            lambda ctx: {"s_pf": ctx.s_pf.verdict},
+            unmet=lambda ctx: {"failing_annihilator_of": ctx.lit(ctx.s_pf.failing)})
+def _s_pf_implies_s_reduced(ctx: InstanceContext):
     ok = ctx.s_reduced.verdict
-    details = {"s_reduced": ok,
-               "failing": None if ok else ctx.lit(ctx.s_reduced.failing)}
-    return hyp, HOLDS if ok else VIOLATED, details, ()
+    return ok, {"s_reduced": ok,
+                "failing": None if ok else ctx.lit(ctx.s_reduced.failing)}
 
 
-def _structure_data(ctx: InstanceContext):
-    """Kernel of the subdirect map plus per-quotient integral-domain witnesses."""
-    ring, S = ctx.ring, ctx.S
-    minimal = ctx.s_minimal
-    if not minimal:
-        return None
-    kernel = (1 << ring.size) - 1
-    for P in minimal:
-        kernel &= P.mask
-    quotient_info = []
-    for P in minimal:
-        q = ctx.quotient(P)
-        sbar = ctx.projected_set(q)
-        witness = None if sbar is None else is_s_integral_domain(q, sbar)
-        surjective = len({q.project(r) for r in range(ring.size)}) == q.size
-        quotient_info.append({"prime": P, "quotient": q, "sbar": sbar,
-                              "domain_witness": witness, "surjective": surjective})
-    torsion_witnesses = {
-        x: is_s_zero_element(ring, S, x) for x in mask_elements(kernel)}
-    return {"minimal": minimal, "kernel": kernel,
-            "quotients": quotient_info, "torsion": torsion_witnesses}
+def _structure_data(ctx: InstanceContext) -> dict:
+    """Kernel of the subdirect map plus per-quotient integral-domain checks.
+
+    With no S-minimal S-prime the kernel is the whole ring.
+    """
+    def compute():
+        ring, S = ctx.ring, ctx.S
+        kernel = (1 << ring.size) - 1
+        for P in ctx.s_minimal:
+            kernel &= P.mask
+        quotient_info = []
+        for P in ctx.s_minimal:
+            q = ctx.quotient(P)
+            sbar = ctx.projected_set(q)
+            quotient_info.append({
+                "prime": P, "quotient": q,
+                "domain": sbar is not None and is_s_integral_domain(q, sbar) is not None,
+                "surjective": len({q.project(r) for r in range(ring.size)}) == q.size})
+        torsion_witnesses = {
+            x: is_s_zero_element(ring, S, x) for x in mask_elements(kernel)}
+        return {"kernel": kernel, "quotients": quotient_info,
+                "torsion": torsion_witnesses}
+    return ctx._memo("structure", compute)
 
 
-def _check_structure_forward(ctx: InstanceContext):
+def _structure_forward_hypotheses(ctx: InstanceContext) -> dict:
     hyp = {"s_reduced": ctx.s_reduced.verdict}
-    if not hyp["s_reduced"]:
-        return hyp, HYP_NOT_MET, {}, ()
+    if hyp["s_reduced"] and not ctx.s_minimal:
+        hyp["s_minimal_primes_exist"] = False
+    return hyp
+
+
+@_statement(StatementId.STRUCTURE_FORWARD, _structure_forward_hypotheses)
+def _structure_forward(ctx: InstanceContext):
     data = _structure_data(ctx)
-    if data is None:
-        return {**hyp, "s_minimal_primes_exist": False}, HYP_NOT_MET, {}, ()
     violations = []
     for x, s in data["torsion"].items():
         if s is None:
@@ -780,31 +779,32 @@ def _check_structure_forward(ctx: InstanceContext):
         if not info["surjective"]:
             violations.append({"reason": "projection not surjective",
                                "prime": ctx.lits(info["prime"].elements)})
-        if info["sbar"] is None or info["domain_witness"] is None:
+        if not info["domain"]:
             violations.append({"reason": "quotient not an S-integral domain",
                                "prime": ctx.lits(info["prime"].elements)})
-    details = {
-        "minimal_prime_count": len(data["minimal"]),
+    return not violations, {
+        "minimal_prime_count": len(ctx.s_minimal),
         "kernel": [ctx.lit(x) for x in mask_elements(data["kernel"])],
         "quotient_sizes": [info["quotient"].size for info in data["quotients"]],
         "violations": violations,
     }
-    return hyp, VIOLATED if violations else HOLDS, details, ()
 
 
-def _check_structure_converse(ctx: InstanceContext):
-    data = _structure_data(ctx)
-    hyp = {"s_minimal_primes_exist": data is not None}
-    if data is not None:
+def _structure_converse_hypotheses(ctx: InstanceContext) -> dict:
+    hyp = {"s_minimal_primes_exist": bool(ctx.s_minimal)}
+    if ctx.s_minimal:
+        data = _structure_data(ctx)
         hyp["kernel_is_s_torsion"] = all(
             s is not None for s in data["torsion"].values())
         hyp["quotients_are_s_integral_domains"] = all(
-            info["sbar"] is not None and info["domain_witness"] is not None
-            for info in data["quotients"])
-    if not all(hyp.values()):
-        return hyp, HYP_NOT_MET, {}, ()
+            info["domain"] for info in data["quotients"])
+    return hyp
+
+
+@_statement(StatementId.STRUCTURE_CONVERSE, _structure_converse_hypotheses)
+def _structure_converse(ctx: InstanceContext):
     ring, S = ctx.ring, ctx.S
-    kernel = data["kernel"]
+    kernel = _structure_data(ctx)["kernel"]
     violations = []
     derived = {}
     for a in sorted(ctx.nilpotents):
@@ -825,34 +825,29 @@ def _check_structure_converse(ctx: InstanceContext):
                                "a": ctx.lit(a)})
             continue
         derived[str(ctx.lit(a))] = ctx.lit(combined)
-    details = {"rederived_witnesses": derived, "violations": violations,
-               "s_reduced_confirmed": not violations}
-    return hyp, VIOLATED if violations else HOLDS, details, ()
+    return not violations, {"rederived_witnesses": derived, "violations": violations,
+                            "s_reduced_confirmed": not violations}
 
 
-def _check_nil_is_intersection(ctx: InstanceContext):
-    hyp = {"S_avoids_zero_divisors": not ctx.s_meets_zero_divisors,
-           "zero_not_in_S": not ctx.S.contains_zero}
-    if not all(hyp.values()):
-        return hyp, HYP_NOT_MET, {}, ()
+@_statement(StatementId.NIL_IS_INTERSECTION,
+            lambda ctx: {"S_avoids_zero_divisors": not ctx.s_meets_zero_divisors,
+                         "zero_not_in_S": not ctx.S.contains_zero})
+def _nil_is_intersection(ctx: InstanceContext):
     primes, inter = ctx.primes_missing_s
-    ok = inter == ctx.nil_mask
-    details = {"nilradical": [ctx.lit(x) for x in mask_elements(ctx.nil_mask)],
-               "primes_disjoint_from_S": len(primes),
-               "intersection": [ctx.lit(x) for x in mask_elements(inter)]}
-    return hyp, HOLDS if ok else VIOLATED, details, ()
+    return inter == ctx.nil_mask, {
+        "nilradical": [ctx.lit(x) for x in mask_elements(ctx.nil_mask)],
+        "primes_disjoint_from_S": len(primes),
+        "intersection": [ctx.lit(x) for x in mask_elements(inter)]}
 
 
-def _check_nil_nilpotent(ctx: InstanceContext):
+@_statement(StatementId.NIL_NILPOTENT,
+            lambda ctx: {"S_avoids_zero_divisors": not ctx.s_meets_zero_divisors,
+                         "s_artinian": True},
+            notes=(_S_ARTINIAN_NOTE,))
+def _nil_nilpotent(ctx: InstanceContext):
     ring, nil_mask = ctx.ring, ctx.nil_mask
-    hyp = {"S_avoids_zero_divisors": not ctx.s_meets_zero_divisors,
-           "s_artinian": True}
-    notes = ("degenerate hypothesis: every finite ring is S-Artinian "
-             "(stationarity read as s*I_k inside I_n for n >= k)",)
-    if not all(hyp.values()):
-        return hyp, HYP_NOT_MET, {}, notes
     if not is_ideal_mask(ring, nil_mask):
-        return hyp, VIOLATED, {"reason": "nilradical is not an ideal"}, notes
+        return False, {"reason": "nilradical is not an ideal"}
     N = ideal_from_mask(ring, nil_mask)
     power = N
     k = 1
@@ -861,52 +856,46 @@ def _check_nil_nilpotent(ctx: InstanceContext):
         power = ideal_product(power, N)
         k += 1
         if power.mask in seen:
-            return hyp, VIOLATED, {
-                "reason": "power chain of the nilradical stabilized above zero",
-                "stuck_at": [ctx.lit(x) for x in power.elements]}, notes
+            return False, {"reason": "power chain of the nilradical stabilized above zero",
+                           "stuck_at": [ctx.lit(x) for x in power.elements]}
         seen.add(power.mask)
-    details = {"nilradical": [ctx.lit(x) for x in mask_elements(nil_mask)],
-               "nilpotency_index": k}
-    return hyp, HOLDS, details, notes
-
-
-_CHECKERS = {
-    StatementId.S_RADICAL_QUOTIENT: _check_s_radical_quotient,
-    StatementId.INTERSECTION_VS_PRODUCT: _check_intersection_vs_product,
-    StatementId.SPECTRUM_S_ZERO: _check_spectrum_s_zero,
-    StatementId.NILS_IN_COLON: _check_nils_in_colon,
-    StatementId.NILS_S_ZERO: _check_nils_s_zero,
-    StatementId.LOCALIZATION_REDUCED: _check_localization_reduced,
-    StatementId.LOCALIZATION_ARTINIAN: _check_localization_artinian,
-    StatementId.PRODUCT_OF_FIELDS: _check_product_of_fields,
-    StatementId.POLY_TRANSFER: _check_poly_transfer,
-    StatementId.U_S_RED_IMPLIES_U_S_ARM: _check_u_s_red_implies_arm,
-    StatementId.E_RING_ARMENDARIZ: _check_e_ring_armendariz,
-    StatementId.IDEALIZATION_ARMENDARIZ: _check_idealization_armendariz,
-    StatementId.S_REDUCED_IMPLIES_HOPFIAN: _check_s_reduced_implies_hopfian,
-    StatementId.S_PF_IMPLIES_S_REDUCED: _check_s_pf_implies_s_reduced,
-    StatementId.STRUCTURE_FORWARD: _check_structure_forward,
-    StatementId.STRUCTURE_CONVERSE: _check_structure_converse,
-    StatementId.NIL_IS_INTERSECTION: _check_nil_is_intersection,
-    StatementId.NIL_NILPOTENT: _check_nil_nilpotent,
-}
+    return True, {"nilradical": [ctx.lit(x) for x in mask_elements(nil_mask)],
+                  "nilpotency_index": k}
 
 
 def check_statement(statement: StatementId, instance: CorpusInstance,
                     cfg: VerifyConfig | None = None,
                     ctx: InstanceContext | None = None) -> StatementReport:
+    """Report hypotheses => conclusion on one instance.
+
+    The conclusion is evaluated only when every hypothesis and scope bound
+    holds.  An instance with 0 in S is reported as degenerate instead.
+    """
     cfg = cfg or VerifyConfig()
     if ctx is None:
         ctx = InstanceContext(instance, cfg)
     start = time.perf_counter()
-    guard = _degenerate_guard(ctx)
-    if guard is not None:
-        hyp, verdict, details, notes = guard
+    stmt = STATEMENTS[statement]
+    if ctx.S.contains_zero:
+        hyp, verdict = {"nondegenerate_mult_set": False}, HYP_NOT_MET
+        details = {"reason": "0 lies in the multiplicative set"}
+        notes = ("degenerate: 0 in S",)
     else:
-        hyp, verdict, details, notes = _CHECKERS[statement](ctx)
+        bounds = stmt.bounds(ctx)
+        notes = stmt.notes
+        hyp = {**stmt.hypotheses(ctx),
+               **{f"{quantity}<={limit}": value <= limit
+                  for quantity, value, limit in bounds}}
+        if all(hyp.values()):
+            ok, details = stmt.conclusion(ctx)
+            verdict = HOLDS if ok else VIOLATED
+        else:
+            verdict = HYP_NOT_MET
+            details = {**{quantity: value for quantity, value, _ in bounds},
+                       **stmt.unmet(ctx)}
     runtime = time.perf_counter() - start
     return StatementReport(statement, instance.label, instance.index,
-                           hyp, verdict, details, tuple(notes), runtime)
+                           hyp, verdict, details, notes, runtime)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,218 +1016,67 @@ class SearchResult:
     shrink_steps: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "statement": self.statement.name,
-            "variant": self.variant,
-            "supported": self.supported,
-            "found": self.found,
-            "scanned": self.scanned,
-            "instance": self.instance,
-            "payload": self.payload,
-            "shrink_steps": self.shrink_steps,
-        }
+        return {**asdict(self), "statement": self.statement.name}
 
 
-def _drop_s_radical_quotient(ctx: InstanceContext):
-    for rec in _radical_quotient_records(ctx):
-        if not rec["hyp_ok"] and rec["lhs"] is not None and rec["lhs"] != rec["rhs"]:
-            return {"ideal": rec["ideal"], "s_radical": rec["lhs"],
-                    "quotient_s_reduced": rec["rhs"],
-                    "dropped": "quotient zero divisors avoiding S"}
-    return None
-
-
-def _drop_spectrum_s_zero(ctx: InstanceContext):
-    if ctx.s_reduced.verdict or ctx.S.contains_zero:
-        return None
-    if not ctx.spectrum:
-        return None
-    inter = spectrum_intersection(ctx.ring, ctx.S, spectrum=ctx.spectrum)
-    for x in inter.elements:
-        if is_s_zero_element(ctx.ring, ctx.S, x) is None:
-            return {"dropped": "S-reduced", "element": ctx.lit(x),
-                    "intersection": ctx.lits(inter.elements)}
-    return None
-
-
-def _drop_intersection_vs_product(ctx: InstanceContext):
-    if ctx.s_reduced.verdict:
-        return None
-    if len(ctx.ideals) > ctx.cfg.ideal_pair_limit:
-        return None
-    for i, I in enumerate(ctx.ideals):
-        for J in ctx.ideals[i:]:
-            a = is_s_zero_ideal(ctx.S, ideal_intersection(I, J)).verdict
-            b = is_s_zero_ideal(ctx.S, ideal_product(I, J)).verdict
-            if a != b:
-                return {"dropped": "S-reduced", "I": ctx.lits(I.elements),
-                        "J": ctx.lits(J.elements),
-                        "intersection_s_zero": a, "product_s_zero": b}
-    return None
-
-
-def _drop_nils_s_zero(ctx: InstanceContext):
-    if ctx.s_reduced.verdict:
-        return None
-    for a in ctx.nil_s.ideal.elements:
-        if is_s_zero_element(ctx.ring, ctx.S, a) is None:
-            return {"dropped": "S-reduced", "element": ctx.lit(a)}
-    return None
-
-
-def _drop_localization_reduced(ctx: InstanceContext):
-    if ctx.s_reduced.verdict:
-        return None
-    loc = ctx.localization
-    if not is_reduced(loc.ring):
-        nil = [x for x, n in nilpotent_profile(loc.ring).items() if x != 0]
-        return {"dropped": "S-reduced", "localized_size": loc.ring.size,
-                "localized_nilpotents": len(nil)}
-    return None
-
-
-def _drop_product_of_fields(ctx: InstanceContext):
-    if ctx.reduced and not ctx.s_meets_zero_divisors:
-        return None
-    primes, inter = ctx.primes_missing_s
-    if inter != 1 or not primes:
-        return {"dropped": "reduced / S avoids zero divisors",
-                "primes_disjoint": len(primes),
-                "intersection": [ctx.lit(x) for x in mask_elements(inter)]}
-    return None
-
-
-def _drop_nil_is_intersection(ctx: InstanceContext):
-    if not ctx.s_meets_zero_divisors:
-        return None
-    _, inter = ctx.primes_missing_s
-    if inter != ctx.nil_mask:
-        return {"dropped": "S avoids zero divisors",
-                "nilradical": [ctx.lit(x) for x in mask_elements(ctx.nil_mask)],
-                "intersection": [ctx.lit(x) for x in mask_elements(inter)]}
-    return None
-
-
-_DROP_CHECKS = {
-    StatementId.S_RADICAL_QUOTIENT: _drop_s_radical_quotient,
-    StatementId.SPECTRUM_S_ZERO: _drop_spectrum_s_zero,
-    StatementId.INTERSECTION_VS_PRODUCT: _drop_intersection_vs_product,
-    StatementId.NILS_S_ZERO: _drop_nils_s_zero,
-    StatementId.LOCALIZATION_REDUCED: _drop_localization_reduced,
-    StatementId.PRODUCT_OF_FIELDS: _drop_product_of_fields,
-    StatementId.NIL_IS_INTERSECTION: _drop_nil_is_intersection,
-}
-
-
-def _converse_u_s_red(ctx: InstanceContext):
-    if ctx.u_s_witness is not None:
-        return None
-    degree, mode = _armendariz_plan(ctx.ring.size, ctx.cfg)
-    verdict = is_u_s_armendariz_up_to(
-        ctx.ring, ctx.S, degree, mode=mode,
-        seed=derive_seed(ctx.cfg.seed, "converse-arm", ctx.instance.label),
-        budget=min(ctx.cfg.budget, 20_000))
-    if verdict.uniform_ok:
-        return {"direction": "uniform zero-product test passed, not u-S-reduced",
-                "degree": degree, "mode": verdict.mode}
-    return None
-
-
-def _converse_s_pf(ctx: InstanceContext):
-    if not ctx.s_reduced.verdict:
-        return None
-    pf = is_s_pf(ctx.ring, ctx.S)
-    if not pf.verdict:
-        return {"direction": "S-reduced but not S-PF",
-                "failing_annihilator_of": ctx.lit(pf.failing)}
-    return None
-
-
-def _converse_localization_reduced(ctx: InstanceContext):
-    if ctx.s_reduced.verdict:
-        return None
-    if is_reduced(ctx.localization.ring):
-        return {"direction": "localization reduced, ring not S-reduced",
-                "localized_size": ctx.localization.ring.size}
-    return None
-
-
-def _converse_hopfian(ctx: InstanceContext):
-    # finite rings are always S-stationary (take s = 1 at the plain
-    # stabilization point), so any non-S-reduced instance witnesses
-    # the failure of the converse
-    if not ctx.s_reduced.verdict:
-        return {"direction": "S-stationary chains but not S-reduced",
-                "failing": ctx.lit(ctx.s_reduced.failing)}
-    return None
-
-
-_CONVERSE_CHECKS = {
-    StatementId.U_S_RED_IMPLIES_U_S_ARM: _converse_u_s_red,
-    StatementId.S_PF_IMPLIES_S_REDUCED: _converse_s_pf,
-    StatementId.LOCALIZATION_REDUCED: _converse_localization_reduced,
-    StatementId.S_REDUCED_IMPLIES_HOPFIAN: _converse_hopfian,
-}
+SEARCH_VARIANTS = ("full", "drop-hypothesis", "converse")
 
 
 def _variant_payload(statement: StatementId, variant: str,
                      instance: CorpusInstance, cfg: VerifyConfig):
-    ctx = InstanceContext(instance, cfg)
+    """The payload of a hit on one instance, or None.
+
+    ``full`` hits a VIOLATED report.  ``drop-hypothesis`` hits a false
+    hypothesis with a failing conclusion, ``converse`` a false hypothesis
+    with a holding one; scope bounds must hold for either.  Their payload
+    names the false hypotheses next to the conclusion's details.
+    """
     if instance.mult_set.contains_zero:
         return None
+    ctx = InstanceContext(instance, cfg)
     if variant == "full":
         report = check_statement(statement, instance, cfg, ctx)
-        if report.verdict == VIOLATED:
-            return report.to_json()
+        return report.to_json() if report.verdict == VIOLATED else None
+    stmt = STATEMENTS[statement]
+    if stmt.records is not None:
+        cases = stmt.records(ctx)
+    elif all(value <= limit for _, value, limit in stmt.bounds(ctx)):
+        cases = [(stmt.hypotheses(ctx), None)]
+    else:
         return None
-    if variant == "drop-hypothesis":
-        fn = _DROP_CHECKS.get(statement)
-        return fn(ctx) if fn else None
-    if variant == "converse":
-        fn = _CONVERSE_CHECKS.get(statement)
-        return fn(ctx) if fn else None
-    raise SRingError(f"unknown search variant {variant!r}")
-
-
-def _variant_supported(statement: StatementId, variant: str) -> bool:
-    if variant == "full":
-        return True
-    if variant == "drop-hypothesis":
-        return statement in _DROP_CHECKS
-    if variant == "converse":
-        return statement in _CONVERSE_CHECKS
-    return False
+    for hyp, result in cases:
+        false = [name for name, holds in hyp.items() if not holds]
+        if not false:
+            continue
+        ok, details = stmt.conclusion(ctx) if result is None else result
+        if ok == (variant == "converse"):
+            return {"false_hypotheses": false, **details}
+    return None
 
 
 def _shrink_ring_moves(expr):
     """Smaller construction expressions, most aggressive shrink first."""
     if isinstance(expr, ZMod):
-        divisors = [d for d in range(2, expr.n) if expr.n % d == 0]
-        for d in sorted(divisors):
-            yield ZMod(d), None
-    elif isinstance(expr, Product):
+        for d in range(2, expr.n):
+            if expr.n % d == 0:
+                yield ZMod(d), None
+    elif isinstance(expr, Product) and len(expr.factors) > 1:
         for i in range(len(expr.factors)):
-            if len(expr.factors) > 1:
-                rest = expr.factors[:i] + expr.factors[i + 1:]
-                keep = rest[0] if len(rest) == 1 else Product(rest)
-                yield keep, ("drop-factor", i)
-    elif isinstance(expr, Idealization):
-        yield expr.base, ("take-base", None)
-    elif isinstance(expr, TriangularE):
+            rest = expr.factors[:i] + expr.factors[i + 1:]
+            yield rest[0] if len(rest) == 1 else Product(rest), ("drop-factor", i)
+    elif isinstance(expr, (Idealization, TriangularE)):
         yield expr.base, ("take-base", None)
 
 
 def _project_generator_literal(lit, move):
     kind, arg = move
-    if kind == "drop-factor":
-        if isinstance(lit, tuple) and len(lit) > 1:
-            reduced = lit[:arg] + lit[arg + 1:]
-            return reduced[0] if len(reduced) == 1 else reduced
+    if not isinstance(lit, tuple) or not lit:
         return lit
     if kind == "take-base":
-        if isinstance(lit, tuple) and lit:
-            return lit[0]
-        return lit
+        return lit[0]
+    if len(lit) > 1:  # drop-factor
+        reduced = lit[:arg] + lit[arg + 1:]
+        return reduced[0] if len(reduced) == 1 else reduced
     return lit
 
 
@@ -1277,7 +1115,7 @@ def counterexample_search(statement: StatementId, variant: str = "full",
     """
     corpus_config = corpus_config or CorpusConfig()
     cfg = cfg or VerifyConfig()
-    if not _variant_supported(statement, variant):
+    if variant not in SEARCH_VARIANTS:
         return SearchResult(statement, variant, False, False, 0)
     instances = generate_corpus(corpus_config)
     for scanned, inst in enumerate(instances, start=1):

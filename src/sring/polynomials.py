@@ -42,10 +42,6 @@ def poly_add(ring: FiniteRing, f: Polynomial, g: Polynomial) -> Polynomial:
     return poly(ring.add(f.coefficient(k), g.coefficient(k)) for k in range(n))
 
 
-def poly_neg(ring: FiniteRing, f: Polynomial) -> Polynomial:
-    return poly(ring.neg(c) for c in f.coeffs)
-
-
 def poly_multiply(ring: FiniteRing, f: Polynomial, g: Polynomial,
                   max_degree: int | None = None) -> Polynomial:
     """Convolution product; factor order is preserved for noncommutative carriers."""

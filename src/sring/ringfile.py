@@ -151,6 +151,11 @@ def parse_ring_file(file_path, *, size_cap: int = DEFAULT_SIZE_CAP
             raise MalformedExpressionError(
                 f"{file_path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                 f"{exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise MalformedExpressionError(f"{file_path}: not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise MalformedExpressionError(
+                f"{file_path}: JSON nested too deeply to decode") from exc
     return parse_ring_data(doc, size_cap=size_cap)
 
 

@@ -210,6 +210,28 @@ def test_sring_threads_must_be_a_positive_integer(tmp_path, capsys, monkeypatch)
     assert default_workers() == 3
 
 
+@pytest.mark.parametrize("case", ["not-utf8", "too-deep", "directory", "corpus-file"])
+def test_cli_bad_input_files_exit_with_usage_error(tmp_path, capsys, case):
+    if case == "not-utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"ring": {"type": "zmod", "n": 4}, "x": "\xe9"}')
+        argv = ["check", "s-reduced", str(path)]
+    elif case == "too-deep":
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        argv = ["check", "s-reduced", str(path)]
+    elif case == "directory":
+        argv = ["check", "s-reduced", str(tmp_path)]
+    else:
+        argv = ["verify", "--all", "--corpus", write(tmp_path, "z24.json", Z24_DOC),
+                "--jsonl", str(tmp_path / "r.jsonl")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_search_drop_hypothesis(capsys):
     code = main(["search", "--statement", "S_RADICAL_QUOTIENT",
                  "--variant", "drop-hypothesis", "--count", "0"])

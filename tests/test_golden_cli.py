@@ -10,12 +10,22 @@ output is intended, and say so with the change.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
+from sring import parse_ring_data
 from sring.cli import main
-from sring.harness import StatementId
+from sring.harness import (
+    HYP_NOT_MET,
+    STATEMENTS,
+    CorpusInstance,
+    InstanceContext,
+    StatementId,
+    VerifyConfig,
+    check_statement,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,3 +77,47 @@ def test_single_ring_command_matches_golden(command, ring, monkeypatch):
 @pytest.mark.parametrize("command", SEARCHES)
 def test_search_matches_golden(command, monkeypatch):
     run_golden(command.split(), golden_name(command), monkeypatch)
+
+
+def search_hits():
+    for path in sorted((GOLDEN / "cli").glob("search-*.json")):
+        doc = json.loads(path.read_text())
+        if doc["found"]:
+            yield pytest.param(doc, id=path.stem)
+
+
+@pytest.mark.parametrize("hit", list(search_hits()))
+def test_search_hit_rechecks(hit):
+    """Each recorded hit meets its pattern when the instance is checked afresh.
+
+    The hypotheses the payload names are exactly the false ones, every scope
+    bound holds, and the conclusion holds for a converse hit and fails for a
+    drop-hypothesis hit, with the details the payload carries.
+    """
+    statement = StatementId[hit["statement"]]
+    definition = STATEMENTS[statement]
+    doc = hit["instance"]
+    ring, S = parse_ring_data({k: doc[k] for k in ("ring", "mult_set")})
+    instance = CorpusInstance(doc["label"], "golden", ring, S, 0)
+    cfg = VerifyConfig(seed=hit["manifest"]["seed"],
+                       budget=hit["manifest"]["caps"]["budget"])
+    ctx = InstanceContext(instance, cfg)
+    payload = dict(hit["payload"])
+    named = payload.pop("false_hypotheses")
+    if definition.records is not None:
+        # a per-record hit: other records may meet the hypothesis, so the
+        # record is re-derived rather than the whole report
+        matches = [(hyp, result) for hyp, result in definition.records(ctx)
+                   if json.loads(json.dumps(result[1])) == payload]
+        assert len(matches) == 1
+        hypotheses, (ok, details) = matches[0]
+    else:
+        report = check_statement(statement, instance, cfg, ctx)
+        assert report.verdict == HYP_NOT_MET
+        bounds = {f"{q}<={limit}" for q, _, limit in definition.bounds(ctx)}
+        assert all(report.hypotheses[key] for key in bounds)
+        hypotheses = {k: v for k, v in report.hypotheses.items() if k not in bounds}
+        ok, details = definition.conclusion(ctx)
+    assert named and [k for k, v in hypotheses.items() if not v] == named
+    assert ok is (hit["variant"] == "converse")
+    assert json.loads(json.dumps(details)) == payload

@@ -163,7 +163,7 @@ def test_search_drop_hypothesis_payload_rechecks_naively():
     assert result.found
     from sring import build_ring, mult_closure, parse_ring_data
     ring, S = parse_ring_data({k: result.instance[k] for k in ("ring", "mult_set")})
-    x = ring.encode(result.payload["element"])
+    x = ring.encode(result.payload["unwitnessed"][0])
     # naive double-entry recheck: x is S-prime-universal yet never S-killed
     assert all(ring.mul(s, x) != ring.zero for s in S.members)
     for mask in _naive_ideal_masks(ring):
@@ -231,16 +231,25 @@ def test_search_converse_u_s_red():
         CorpusConfig(count=0), VerifyConfig(budget=2000))
     # Z4 with S = {1,3} is u-S-Armendariz up to the bound but not u-S-reduced
     assert result.found
-    assert "not u-S-reduced" in result.payload["direction"]
+    assert result.payload["false_hypotheses"] == ["u_s_reduced"]
 
 
 def test_search_converse_hopfian_and_unsupported_variant():
+    # the converse evaluates the chain conclusion instead of assuming it: in
+    # Z4/{1,3}, ann(2) < ann(0) = Z4 and no member of S maps Z4 into ann(2),
+    # so Z4/{1,3} drops the hypothesis and the conclusion together
     result = counterexample_search(
         StatementId.S_REDUCED_IMPLIES_HOPFIAN, "converse",
         CorpusConfig(count=0), VerifyConfig())
-    assert result.found  # every finite ring is S-stationary, Z4/{1,3} is not S-reduced
+    assert result.supported and not result.found and result.scanned == 15
     result = counterexample_search(
-        StatementId.NIL_NILPOTENT, "converse", CorpusConfig(count=0), VerifyConfig())
+        StatementId.S_REDUCED_IMPLIES_HOPFIAN, "drop-hypothesis",
+        CorpusConfig(count=0), VerifyConfig())
+    assert result.found and result.instance["ring"] == {"type": "zmod", "n": 4}
+    assert result.payload["false_hypotheses"] == ["s_reduced"]
+    assert result.payload["violations"] == [{"a": 2, "n": 1}]
+    result = counterexample_search(
+        StatementId.NIL_NILPOTENT, "no-such-variant", CorpusConfig(count=0), VerifyConfig())
     assert not result.supported and not result.found
 
 
