@@ -614,7 +614,8 @@ def _product_of_fields(ctx: InstanceContext):
                           "failures": failures}
 
 
-# 0 in S never reaches a conclusion (check_statement reports it as degenerate)
+# the hypothesis only shows in the report: check_statement reports 0 in S as
+# degenerate before any statement runs
 @_statement(StatementId.POLY_TRANSFER,
             lambda ctx: {"nondegenerate_mult_set": not ctx.S.contains_zero})
 def _poly_transfer(ctx: InstanceContext):
