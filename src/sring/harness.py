@@ -101,13 +101,19 @@ HOLDS = "holds"
 HYP_NOT_MET = "hypothesis-not-met"
 VIOLATED = "VIOLATED"
 
+# Scope bounds and budgets of the catalog
+EXHAUSTIVE_SIZE_LIMIT = 12  # carriers the uniform test searches exhaustively
+E_BASE_LIMIT = 12  # largest base ring of E_RING_ARMENDARIZ
+EXTENSION_SIZE_CAP = 4096  # largest idealization of IDEALIZATION_ARMENDARIZ
+IDEAL_PAIR_LIMIT = 16  # most ideals INTERSECTION_VS_PRODUCT pairs up
+POLY_BUDGET = 4096  # most coefficient vectors POLY_TRANSFER checks
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
     seed: int = 42
     count: int = 30
     max_size: int = 64
-    depth: int = 2
     filters: tuple[str, ...] = ()
 
 
@@ -117,12 +123,6 @@ class VerifyConfig:
     budget: int = 100_000
     exhaustive_degree: int = 2
     sampled_degree: int = 1
-    exhaustive_size_limit: int = 12
-    e_base_limit: int = 12
-    extension_size_cap: int = 4096
-    ideal_pair_limit: int = 16
-    ideal_cap: int = 4096
-    poly_budget: int = 4096
 
 
 @dataclass
@@ -203,9 +203,9 @@ def curated_instances(*, max_size: int = 64) -> list[CorpusInstance]:
 _SQUARE_BLOCKS = (4, 8, 9, 16, 25, 27)
 
 
-def _random_expression(rng: random.Random, max_size: int, depth: int):
+def _random_expression(rng: random.Random, max_size: int):
     roll = rng.random()
-    if depth <= 1 or roll < 0.45:
+    if roll < 0.45:
         # bias toward moduli with square factors: squarefree carriers make
         # every S-predicate collapse to the classical one
         if rng.random() < 0.6:
@@ -255,7 +255,7 @@ def generate_corpus(config: CorpusConfig) -> list[CorpusInstance]:
         attempts += 1
         if attempts > max_attempts:
             raise SRingError("corpus generation exhausted its attempt budget")
-        expr = _random_expression(rng, config.max_size, config.depth)
+        expr = _random_expression(rng, config.max_size)
         try:
             ring = build_ring(expr, size_cap=config.max_size)
         except (MalformedExpressionError, SizeCapExceededError):
@@ -298,8 +298,7 @@ class InstanceContext:
 
     @property
     def ideals(self) -> list[Ideal]:
-        return self._memo("ideals",
-                          lambda: enumerate_ideals(self.ring, cap=self.cfg.ideal_cap))
+        return self._memo("ideals", lambda: enumerate_ideals(self.ring))
 
     @property
     def proper_ideals(self) -> list[Ideal]:
@@ -396,7 +395,10 @@ class Statement:
     drops them.  ``unmet(ctx)`` adds details to a hypothesis-not-met report.
     ``records(ctx)``, when set, gives the searcher one
     ``(hypotheses, (ok, details))`` pair per record instead of the
-    instance-wide pair.
+    instance-wide pair.  ``droppable`` is False when the 0-in-S check that
+    skips an instance already settles every hypothesis, so none is ever
+    false on a searched instance and ``drop-hypothesis`` and ``converse``
+    are unsupported.
     """
     hypotheses: Callable[[InstanceContext], dict]
     conclusion: Callable[[InstanceContext], tuple[bool, dict]]
@@ -404,6 +406,7 @@ class Statement:
     bounds: Callable[[InstanceContext], tuple] = lambda ctx: ()
     unmet: Callable[[InstanceContext], dict] = lambda ctx: {}
     records: Callable[[InstanceContext], list] | None = None
+    droppable: bool = True
 
 
 STATEMENTS: dict[StatementId, Statement] = {}
@@ -476,7 +479,7 @@ def _radical_quotient(ctx: InstanceContext):
 
 @_statement(StatementId.INTERSECTION_VS_PRODUCT, _s_reduced,
             bounds=lambda ctx: (("ideal_count", len(ctx.ideals),
-                                 ctx.cfg.ideal_pair_limit),))
+                                 IDEAL_PAIR_LIMIT),))
 def _intersection_vs_product(ctx: InstanceContext):
     violations = []
     pairs = 0
@@ -562,7 +565,7 @@ def _localization_artinian_hypotheses(ctx: InstanceContext) -> dict:
             notes=("degenerate hypotheses: every finite ring is S-Noetherian and Artinian",))
 def _localization_artinian(ctx: InstanceContext):
     loc = ctx.localization
-    loc_ideals = enumerate_ideals(loc.ring, cap=ctx.cfg.ideal_cap)
+    loc_ideals = enumerate_ideals(loc.ring)
     primes = [I for I in loc_ideals if is_prime_ideal(I)]
     non_maximal = [I for I in primes if not is_maximal_ideal(I, loc_ideals)]
     return not non_maximal, {"localized_size": loc.ring.size,
@@ -617,22 +620,23 @@ def _product_of_fields(ctx: InstanceContext):
 # the hypothesis only shows in the report: check_statement reports 0 in S as
 # degenerate before any statement runs
 @_statement(StatementId.POLY_TRANSFER,
-            lambda ctx: {"nondegenerate_mult_set": not ctx.S.contains_zero})
+            lambda ctx: {"nondegenerate_mult_set": not ctx.S.contains_zero},
+            droppable=False)
 def _poly_transfer(ctx: InstanceContext):
     ring, S = ctx.ring, ctx.S
     nilp = sorted(ctx.nilpotents)
     degree = 2
-    while degree > 0 and len(nilp) ** (degree + 1) > ctx.cfg.poly_budget:
+    while degree > 0 and len(nilp) ** (degree + 1) > POLY_BUDGET:
         degree -= 1
     total = len(nilp) ** (degree + 1)
-    if total <= ctx.cfg.poly_budget:
+    if total <= POLY_BUDGET:
         vectors = itertools.product(nilp, repeat=degree + 1)
         mode = "exhaustive"
         count = total
     else:
         rng = random.Random(derive_seed(ctx.cfg.seed, "poly-transfer",
                                         ctx.instance.label))
-        count = ctx.cfg.poly_budget
+        count = POLY_BUDGET
         vectors = (tuple(nilp[int(rng.random() * len(nilp))]
                          for _ in range(degree + 1)) for _ in range(count))
         mode = "sampled"
@@ -660,7 +664,7 @@ def _uniform_test(ctx: InstanceContext, tag: str, carrier: FiniteRing,
     ones sampled within the budget.  A carrier built over the instance ring
     also reports its size and the size of its multiplicative set.
     """
-    if carrier.size <= ctx.cfg.exhaustive_size_limit:
+    if carrier.size <= EXHAUSTIVE_SIZE_LIMIT:
         degree, mode = ctx.cfg.exhaustive_degree, "exhaustive"
     else:
         degree, mode = ctx.cfg.sampled_degree, "sampled"
@@ -681,7 +685,7 @@ def _u_s_red_implies_arm(ctx: InstanceContext):
 
 
 @_statement(StatementId.E_RING_ARMENDARIZ, _s_reduced,
-            bounds=lambda ctx: (("base_size", ctx.ring.size, ctx.cfg.e_base_limit),))
+            bounds=lambda ctx: (("base_size", ctx.ring.size, E_BASE_LIMIT),))
 def _e_ring_armendariz(ctx: InstanceContext):
     e_ring = TriangularERing(ctx.ring)
     constant_quadruples = mult_closure(
@@ -691,7 +695,7 @@ def _e_ring_armendariz(ctx: InstanceContext):
 
 @_statement(StatementId.IDEALIZATION_ARMENDARIZ, _u_s_reduced,
             bounds=lambda ctx: (("extension_size", ctx.ring.size ** 2,
-                                 ctx.cfg.extension_size_cap),))
+                                 EXTENSION_SIZE_CAP),))
 def _idealization_armendariz(ctx: InstanceContext):
     rr = IdealizationRing(ctx.ring, (QuotientRing(ctx.ring, 1),))
     square_pairs = mult_closure(
@@ -1116,7 +1120,8 @@ def counterexample_search(statement: StatementId, variant: str = "full",
     """
     corpus_config = corpus_config or CorpusConfig()
     cfg = cfg or VerifyConfig()
-    if variant not in SEARCH_VARIANTS:
+    if variant not in SEARCH_VARIANTS or (
+            variant != "full" and not STATEMENTS[statement].droppable):
         return SearchResult(statement, variant, False, False, 0)
     instances = generate_corpus(corpus_config)
     for scanned, inst in enumerate(instances, start=1):

@@ -12,7 +12,9 @@ zmod carriers and nested arrays mirroring the structure otherwise.
 
 Semantic errors carry the offending key path; a missing mult_set defaults
 to the unit set {1}, which collapses every S-notion to its classical
-counterpart.
+counterpart.  An expression may nest at most ``MAX_EXPRESSION_DEPTH``
+nodes deep: ring construction, labels and the solvers recurse once or
+more per level, so a deeper file would overflow the interpreter stack.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .rings import (
 )
 
 
+MAX_EXPRESSION_DEPTH = 64
+
+
 def _err(path: str, msg: str):
     raise MalformedExpressionError(f"{path}: {msg}")
 
@@ -50,7 +55,9 @@ def _expect_keys(data: dict, allowed: set[str], required: set[str], path: str):
             _err(path, f"missing required key {key!r}")
 
 
-def expression_from_json(data, path: str = "ring") -> RingExpression:
+def expression_from_json(data, path: str = "ring", depth: int = 1) -> RingExpression:
+    if depth > MAX_EXPRESSION_DEPTH:
+        _err(path, f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep")
     if not isinstance(data, dict):
         _err(path, f"expected an object, got {type(data).__name__}")
     kind = data.get("type")
@@ -66,14 +73,14 @@ def expression_from_json(data, path: str = "ring") -> RingExpression:
         if not isinstance(factors, list) or not factors:
             _err(f"{path}.factors", "expected a nonempty array")
         return Product(tuple(
-            expression_from_json(f, f"{path}.factors[{i}]")
+            expression_from_json(f, f"{path}.factors[{i}]", depth + 1)
             for i, f in enumerate(factors)))
     if kind == "quotient":
         _expect_keys(data, {"type", "base", "ideal"}, {"base", "ideal"}, path)
         gens = data["ideal"]
         if not isinstance(gens, list):
             _err(f"{path}.ideal", "expected an array of element literals")
-        return Quotient(expression_from_json(data["base"], f"{path}.base"),
+        return Quotient(expression_from_json(data["base"], f"{path}.base", depth + 1),
                         tuple(freeze_literal(g) for g in gens))
     if kind == "idealization":
         _expect_keys(data, {"type", "base", "module"}, {"base", "module"}, path)
@@ -89,11 +96,11 @@ def expression_from_json(data, path: str = "ring") -> RingExpression:
             if not isinstance(comp, list):
                 _err(f"{path}.module.cyclic[{i}]", "expected an array of element literals")
             comps.append(tuple(freeze_literal(g) for g in comp))
-        return Idealization(expression_from_json(data["base"], f"{path}.base"),
+        return Idealization(expression_from_json(data["base"], f"{path}.base", depth + 1),
                             ModuleSpec(tuple(comps)))
     if kind == "triangular_e":
         _expect_keys(data, {"type", "base"}, {"base"}, path)
-        return TriangularE(expression_from_json(data["base"], f"{path}.base"))
+        return TriangularE(expression_from_json(data["base"], f"{path}.base", depth + 1))
     _err(f"{path}.type", f"unknown ring type {kind!r}")
 
 

@@ -11,6 +11,7 @@ the per-statement accumulated CPU times from the run summary.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -321,3 +322,13 @@ def test_criterion_14_byte_identical_reports(verify_runs):
     assert a == b
     _accept(14, f"two verify --all --seed 42 runs agree on "
                 f"{len(a.splitlines())} report lines ({len(a)} bytes)")
+
+
+# sha256 of the verify --all --seed 42 stream.  A change that moves the
+# stream on purpose updates this and says why, as with the CLI goldens.
+VERIFY_STREAM_SHA256 = "2661c470e9b35a65cc56092c3549a1374e6ffd1b969115dc950f546143e7b12e"
+
+
+def test_verify_stream_matches_recorded_digest(verify_runs):
+    stream = verify_runs["streams"][0]
+    assert hashlib.sha256(stream).hexdigest() == VERIFY_STREAM_SHA256

@@ -210,7 +210,17 @@ def test_sring_threads_must_be_a_positive_integer(tmp_path, capsys, monkeypatch)
     assert default_workers() == 3
 
 
-@pytest.mark.parametrize("case", ["not-utf8", "too-deep", "directory", "corpus-file"])
+def nested_quotients(levels: int) -> str:
+    """A ring document whose expression is ``levels`` nodes deep: quotients
+    of Z4 by 0, nested inside one another."""
+    ring = '{"type": "zmod", "n": 4}'
+    for _ in range(levels - 1):
+        ring = f'{{"type": "quotient", "base": {ring}, "ideal": [0]}}'
+    return f'{{"ring": {ring}}}'
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "too-deep", "nested-600", "directory",
+                                  "corpus-file"])
 def test_cli_bad_input_files_exit_with_usage_error(tmp_path, capsys, case):
     if case == "not-utf8":
         path = tmp_path / "latin1.json"
@@ -220,6 +230,12 @@ def test_cli_bad_input_files_exit_with_usage_error(tmp_path, capsys, case):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
         argv = ["check", "s-reduced", str(path)]
+    elif case == "nested-600":
+        # valid JSON that decodes and would build, but overflows the stack
+        # in the carrier's recursive solvers unless it is rejected on parse
+        path = tmp_path / "nested.json"
+        path.write_text(nested_quotients(600))
+        argv = ["describe", str(path)]
     elif case == "directory":
         argv = ["check", "s-reduced", str(tmp_path)]
     else:

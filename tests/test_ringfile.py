@@ -17,6 +17,7 @@ from sring import (
     mult_closure,
     parse_ring_data,
 )
+from sring.ringfile import MAX_EXPRESSION_DEPTH
 
 EXPRESSIONS = [
     ZMod(24),
@@ -52,3 +53,14 @@ def test_unknown_type_rejected():
         expression_from_json({"type": "idealization",
                               "base": {"type": "zmod", "n": 4},
                               "module": {"cyclic": []}})
+
+
+def test_nesting_depth_limit():
+    expr = ZMod(4)
+    for _ in range(MAX_EXPRESSION_DEPTH - 1):
+        expr = Quotient(expr, (0,))
+    assert expression_from_json(expression_to_json(expr)) == expr
+    too_deep = expression_to_json(Quotient(expr, (0,)))
+    path = "ring" + ".base" * MAX_EXPRESSION_DEPTH
+    with pytest.raises(MalformedExpressionError, match=rf"^{path}: .*nested"):
+        expression_from_json(too_deep)

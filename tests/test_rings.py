@@ -175,7 +175,7 @@ def test_large_idealization_arithmetic_on_literals():
     rng = random.Random(11)
     for expr, moduli in ((Z24_IDEALIZATION, (24,)), (Z16_TWO_COMPONENTS, (16, 2))):
         ring = build_ring(expr)
-        assert ring.size > 256 and ring._mul_table is None, ring.label
+        assert ring.size > 256 and "mul" not in vars(ring), ring.label
         n = expr.base.n
         for _ in range(3000):
             a, b = rng.randrange(ring.size), rng.randrange(ring.size)
@@ -210,26 +210,35 @@ def test_zero_divisors_against_scan():
 
 def _without_tables(ring):
     """Copy of ``ring`` whose arithmetic walks the structure (product
-    factors included) instead of reading operation tables."""
+    factors, base and module included) instead of the table lookups bound
+    on the instance."""
     plain = copy.copy(ring)
-    plain._add_table = plain._mul_table = plain._neg_table = None
+    for op in ("add", "mul", "neg"):
+        vars(plain).pop(op, None)
     if isinstance(ring, ProductRing):
         plain.factors = tuple(_without_tables(f) for f in ring.factors)
+    for part in ("base", "module"):
+        if hasattr(ring, part):
+            setattr(plain, part, _without_tables(getattr(ring, part)))
     return plain
 
 
-def test_composed_product_tables_match_structured_arithmetic():
+def test_operation_tables_match_structured_arithmetic():
     cases = [
         Product((ZMod(16), ZMod(16))),
         Product((ZMod(2), ZMod(4), ZMod(2))),
         Product((ZMod(3), Product((ZMod(2), ZMod(4))), ZMod(5))),
         Product((Quotient(ZMod(8), (4,)), ZMod(6))),
         Product((TriangularE(ZMod(2)), ZMod(3))),  # noncommutative factor
+        Quotient(Product((ZMod(4), ZMod(6))), ((2, 3),)),
+        Idealization(ZMod(4), ModuleSpec(((2,), (0,)))),
+        TriangularE(ZMod(3)),  # noncommutative
     ]
     for expr in cases:
         ring = build_ring(expr)
-        assert ring._mul_table is not None, ring.label
+        assert {"add", "mul", "neg"} <= vars(ring).keys(), ring.label
         plain = _without_tables(ring)
+        assert not {"add", "mul", "neg"} & vars(plain).keys(), ring.label
         n = ring.size
         for a in range(n):
             assert ring.neg(a) == plain.neg(a), (ring.label, a)
@@ -262,6 +271,10 @@ def test_solve_mul_matches_scan():
         TriangularE(ZMod(3)),
         Z24_IDEALIZATION,
         Z16_TWO_COMPONENTS,
+        # above the solution cache: the uniform draw from the complete list
+        ZMod(720),
+        Product((ZMod(16), ZMod(32))),
+        Quotient(ZMod(1024), (512,)),
     ]
     for expr in exprs:
         ring = build_ring(expr, size_cap=4096)
