@@ -114,7 +114,6 @@ class CorpusConfig:
     seed: int = 42
     count: int = 30
     max_size: int = 64
-    filters: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -226,27 +225,12 @@ def _random_expression(rng: random.Random, max_size: int):
     return Idealization(ZMod(n), ModuleSpec(((d,),)))
 
 
-_FILTERS = {
-    "s-reduced": lambda r, s: is_s_reduced(r, s).verdict,
-    "u-s-reduced": lambda r, s: is_s_reduced(r, s).uniform_witness is not None,
-    "reduced": lambda r, s: is_reduced(r),
-}
-
-
-def _passes_filters(ring, S, filters) -> bool:
-    return all(_FILTERS[name](ring, S) for name in filters)
-
-
 def generate_corpus(config: CorpusConfig) -> list[CorpusInstance]:
     """Curated worked examples first, then seeded random constructions.
 
     The same config always yields the same instance list, byte for byte.
     """
-    for name in config.filters:
-        if name not in _FILTERS:
-            raise SRingError(f"unknown corpus filter {name!r}")
-    out = [inst for inst in curated_instances(max_size=config.max_size)
-           if _passes_filters(inst.ring, inst.mult_set, config.filters)]
+    out = curated_instances(max_size=config.max_size)
     rng = random.Random(config.seed)
     made = 0
     attempts = 0
@@ -269,8 +253,6 @@ def generate_corpus(config: CorpusConfig) -> list[CorpusInstance]:
         if len(S.members) > 12:
             # huge unit groups slow every scan without adding coverage;
             # the interesting sets in this theory are small powers
-            continue
-        if not _passes_filters(ring, S, config.filters):
             continue
         out.append(CorpusInstance(f"seeded-{made:02d}", "seeded", ring, S))
         made += 1
@@ -399,6 +381,12 @@ class Statement:
     skips an instance already settles every hypothesis, so none is ever
     false on a searched instance and ``drop-hypothesis`` and ``converse``
     are unsupported.
+
+    Four hypothesis names are never false on a searched instance, so
+    dropping them finds nothing: ``zero_not_in_S`` and
+    ``nondegenerate_mult_set`` are settled by the 0-in-S check, and
+    ``s_artinian`` and ``s_noetherian`` are always True (every finite ring
+    is S-Artinian and S-Noetherian).
     """
     hypotheses: Callable[[InstanceContext], dict]
     conclusion: Callable[[InstanceContext], tuple[bool, dict]]

@@ -5,10 +5,13 @@ is computed structurally from the expression (residues, tuples, cosets), so
 rings with tens of thousands of elements stay cheap to construct.  For
 carriers up to 256 elements :class:`FiniteRing` binds ``add``/``mul``/``neg``
 to flat operation tables, the one place where table and structure meet;
-larger carriers call the structured methods directly.  A product carrier
-composes its tables from its factors' rows as Kronecker sums, so building
-them costs one factor operation per pair of factor elements; the other
-carriers fill theirs entry by entry through the structured arithmetic.  An
+larger carriers call the structured methods directly.  No carrier fills
+its tables entry by entry through the structured arithmetic: product,
+idealization and triangular indices are mixed-radix, so their ``add`` and
+``neg`` tables (and the product's ``mul``) are Kronecker folds of their
+components' tables, the idealization and triangular ``mul`` rows are sums
+of a few structured products, and a quotient projects base operations on
+its representatives.  An
 idealization is its base ring acting on one module ring, the product of its
 cyclic components, so each of its operations and solvers takes one path
 whatever the shape of the module.  Only the idealization and triangular
@@ -151,7 +154,17 @@ class FiniteRing:
     ``encode`` structurally and, where the structure admits something
     faster than a scan, the ``_solve_all`` equation solver for a*x = t;
     :meth:`_install_op_tables` then rebinds ``add``/``mul``/``neg`` of a
-    small carrier to lookups in tables built from that arithmetic.
+    small carrier to lookups in the tables its ``_op_tables`` composes:
+    :class:`ProductRing` folds all three from its factors' tables
+    (:func:`_digitwise_table`), :class:`IdealizationRing` and
+    :class:`TriangularERing` fold ``add`` and ``neg`` the same way and sum
+    ``mul`` rows from left products with single digits
+    (:func:`_mixed_radix_tables`), and :class:`QuotientRing` projects one
+    base operation per entry.  Left distributivity is built into the
+    composed idealization and triangular ``mul`` tables, so for those
+    carriers the oracle for the structured ``mul`` is a comparison of the
+    tables with the structured arithmetic, not ``verify_ring_axioms`` on
+    the tables.
 
     Small carriers memoize whole solution lists (at most size*size of
     them), which collapses the hot solver loops of the derived
@@ -181,8 +194,10 @@ class FiniteRing:
 
         Structured arithmetic composes; for the carriers that sit at the
         bottom of the derived constructions, table lookups beat walking the
-        structure by an order of magnitude.  A larger carrier keeps its
-        structured methods, called with no extra layer.
+        structure by an order of magnitude.  The tables come from
+        ``_op_tables``, which each carrier composes from its components'
+        tables rather than one structured call per entry.  A larger carrier
+        keeps its structured methods, called with no extra layer.
         """
         if self.size > OP_TABLE_LIMIT:
             return
@@ -193,17 +208,9 @@ class FiniteRing:
         self.neg = neg_t.__getitem__
 
     def _op_tables(self) -> tuple[list[int], list[int], list[int]]:
-        """The ``add``, ``mul`` and ``neg`` tables, one structured operation
-        per entry; :class:`ProductRing` composes its tables from its
-        factors instead."""
-        n = self.size
-        add_t = []
-        mul_t = []
-        for a in range(n):
-            for b in range(n):
-                add_t.append(self.add(a, b))
-                mul_t.append(self.mul(a, b))
-        return add_t, mul_t, [self.neg(a) for a in range(n)]
+        """The flat ``add``, ``mul`` and ``neg`` tables, built from the
+        structured arithmetic before the lookups are bound."""
+        raise NotImplementedError
 
     # -- arithmetic -------------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -333,30 +340,13 @@ class ProductRing(FiniteRing):
         self._install_op_tables()
 
     def _op_tables(self) -> tuple[list[int], list[int], list[int]]:
-        """Operation tables composed from the factors' rows.
-
-        An index is the sum of p_k * w_k over the factors, w_k being the
-        product of the earlier factor sizes, and every operation acts
-        componentwise.  So the row of a product element is the Kronecker sum
-        of its factors' rows scaled by w_k, folded from the first factor to
-        the last; each weighted component stays below w_{k+1}, so no sum
-        carries and every entry equals the ``_join`` of the componentwise
-        results.  Factor k costs size_k**2 calls to its own ``add``/``mul``.
-        """
-        add_rows: list[list[int]] = [[0]]
-        mul_rows: list[list[int]] = [[0]]
-        neg = [0]
-        w = 1
-        for f in self.factors:
-            elems = range(f.size)
-            add_rows = _kronecker_rows(
-                add_rows, [[f.add(p, q) * w for q in elems] for p in elems])
-            mul_rows = _kronecker_rows(
-                mul_rows, [[f.mul(p, q) * w for q in elems] for p in elems])
-            neg = [f.neg(p) * w + u for p in elems for u in neg]
-            w *= f.size
-        return (list(itertools.chain.from_iterable(add_rows)),
-                list(itertools.chain.from_iterable(mul_rows)), neg)
+        """Every operation acts componentwise, so all three tables are
+        digitwise folds over the factors, the first factor least
+        significant; factor k costs size_k**2 calls to each of its own
+        ``add`` and ``mul``."""
+        return (_digitwise_table(self.factors, "add"),
+                _digitwise_table(self.factors, "mul"),
+                _digitwise_neg(self.factors))
 
     def _split(self, i: int) -> tuple[int, ...]:
         parts = []
@@ -408,13 +398,68 @@ class ProductRing(FiniteRing):
         return all(f.is_unit(x) for f, x in zip(self.factors, self._split(a)))
 
 
-def _kronecker_rows(rows: list[list[int]],
-                    factor_rows: list[list[int]]) -> list[list[int]]:
-    """Rows of the table over (factor, earlier factors) from the table over
-    the earlier factors and the scaled factor table; the factor's digit is
-    the more significant one in both the row and the column index."""
-    return [[v + u for v in frow for u in row]
-            for frow in factor_rows for row in rows]
+def _digitwise_table(digits, op: str) -> list[int]:
+    """Flat table of the binary operation ``op`` ("add" or "mul") on
+    mixed-radix indices whose digits, least significant first, are elements
+    of the rings ``digits``, for an operation that acts digit by digit.
+
+    An index is the sum of p_k * w_k, w_k being the product of the earlier
+    digit sizes.  So the row of an index is the Kronecker sum of its digits'
+    rows scaled by w_k, folded from the first digit to the last; each
+    weighted digit stays below w_{k+1}, so no sum carries.  Digit k costs
+    size_k**2 calls to its ring's ``op``.
+    """
+    rows: list[list[int]] = [[0]]
+    w = 1
+    for f in digits:
+        elems = range(f.size)
+        f_op = getattr(f, op)
+        digit_rows = [[f_op(p, q) * w for q in elems] for p in elems]
+        rows = [[v + u for v in drow for u in row]
+                for drow in digit_rows for row in rows]
+        w *= f.size
+    return list(itertools.chain.from_iterable(rows))
+
+
+def _digitwise_neg(digits) -> list[int]:
+    """The ``neg`` table for the indices of :func:`_digitwise_table`."""
+    neg = [0]
+    w = 1
+    for f in digits:
+        neg = [f.neg(p) * w + u for p in range(f.size) for u in neg]
+        w *= f.size
+    return neg
+
+
+def _mixed_radix_tables(ring: FiniteRing, digits
+                        ) -> tuple[list[int], list[int], list[int]]:
+    """The ``add``, ``mul`` and ``neg`` tables of ``ring``, whose indices are
+    mixed-radix over ``digits`` as in :func:`_digitwise_table` and whose
+    addition and negation act digit by digit.
+
+    ``add`` and ``neg`` are digitwise folds.  For ``mul``, an element y is
+    the sum of its digits embedded at their weights, y = sum of y_k * w_k,
+    and left multiplication is additive, so x*y is the sum over k of
+    x*(y_k * w_k).  The row of x folds those partial products digit by
+    digit through the ``add`` table: it costs sum(size_k) calls to the
+    structured ``mul`` and about one table lookup per entry.  Left
+    distributivity is built into this table, so it equals the entry-by-entry
+    one exactly when the structured ``mul`` is left distributive.
+    """
+    n = ring.size
+    mul = ring.mul
+    add_t = _digitwise_table(digits, "add")
+    add_rows = [add_t[v * n:(v + 1) * n] for v in range(n)]
+    mul_t: list[int] = []
+    for x in range(n):
+        row = [0]
+        w = 1
+        for f in digits:
+            row = [s for y in range(0, f.size * w, w)
+                   for s in map(add_rows[mul(x, y)].__getitem__, row)]
+            w *= f.size
+        mul_t.extend(row)
+    return add_t, mul_t, _digitwise_neg(digits)
 
 
 class QuotientRing(FiniteRing):
@@ -442,6 +487,15 @@ class QuotientRing(FiniteRing):
         super().__init__(len(reps), expression, proj[base.one])
         self.commutative = base.commutative
         self._install_op_tables()
+
+    def _op_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """Each table entry projects one base operation on the lifted
+        representatives."""
+        proj, reps, base = self._proj, self._reps, self.base
+        base_add, base_mul = base.add, base.mul
+        return ([proj[base_add(a, b)] for a in reps for b in reps],
+                [proj[base_mul(a, b)] for a in reps for b in reps],
+                [proj[base.neg(a)] for a in reps])
 
     def lift(self, i: int) -> int:
         return self._reps[i]
@@ -500,6 +554,10 @@ class IdealizationRing(FiniteRing):
                      for r in range(base.size)]
         self._scaled = [module.mul(u, m) for u in self._act for m in range(ms)]
         self._install_op_tables()
+
+    def _op_tables(self) -> tuple[list[int], list[int], list[int]]:
+        # an index is r * |M| + m: the module digit is the less significant
+        return _mixed_radix_tables(self, (self.module, self.base))
 
     def _join(self, r: int, parts) -> int:
         return r * self.module_size + self.module._join(parts)
@@ -592,6 +650,10 @@ class TriangularERing(FiniteRing):
         super().__init__(n ** 4, expression, base.one * n ** 3)
         self.commutative = base.size == 1
         self._install_op_tables()
+
+    def _op_tables(self) -> tuple[list[int], list[int], list[int]]:
+        # an index is four base digits (a, b, c, d), d the least significant
+        return _mixed_radix_tables(self, (self.base,) * 4)
 
     def _split(self, i: int) -> tuple[int, int, int, int]:
         n = self.base.size

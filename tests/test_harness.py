@@ -52,13 +52,6 @@ def test_corpus_is_deterministic():
     assert a == b
 
 
-def test_corpus_filters():
-    corpus = generate_corpus(CorpusConfig(count=4, filters=("s-reduced",)))
-    from sring import is_s_reduced
-    for inst in corpus:
-        assert is_s_reduced(inst.ring, inst.mult_set).verdict
-
-
 def test_spectrum_s_zero_on_z24(by_label):
     report = check_statement(StatementId.SPECTRUM_S_ZERO, by_label["z24-pow2"])
     assert report.verdict == HOLDS

@@ -19,7 +19,7 @@ from sring import (
     verify_ring_axioms,
     zero_divisor_set,
 )
-from sring.rings import ProductRing, ZModRing, _quick_axiom_sample
+from sring.rings import ProductRing, TriangularERing, ZModRing, _quick_axiom_sample
 
 
 def test_zmod_basics(z24):
@@ -232,7 +232,10 @@ def test_operation_tables_match_structured_arithmetic():
         Product((TriangularE(ZMod(2)), ZMod(3))),  # noncommutative factor
         Quotient(Product((ZMod(4), ZMod(6))), ((2, 3),)),
         Idealization(ZMod(4), ModuleSpec(((2,), (0,)))),
+        Idealization(Product((ZMod(7), ZMod(2))), ModuleSpec(((),))),  # 196, full module
         TriangularE(ZMod(3)),  # noncommutative
+        TriangularE(ZMod(4)),  # 256 elements
+        TriangularE(Product((ZMod(2), ZMod(2)))),  # 256 elements
     ]
     for expr in cases:
         ring = build_ring(expr)
@@ -245,6 +248,24 @@ def test_operation_tables_match_structured_arithmetic():
             for b in range(n):
                 assert ring.add(a, b) == plain.add(a, b), (ring.label, a, b)
                 assert ring.mul(a, b) == plain.mul(a, b), (ring.label, a, b)
+
+
+def test_triangular_mul_table_is_composed_from_rows(monkeypatch):
+    # each mul-table row costs one structured call per digit value, 4n in
+    # all, not one per entry (n**4 per row)
+    calls = 0
+    structured_mul = TriangularERing.mul
+
+    def counting_mul(self, x, y):
+        nonlocal calls
+        calls += 1
+        return structured_mul(self, x, y)
+
+    monkeypatch.setattr(TriangularERing, "mul", counting_mul)
+    ring = build_ring(TriangularE(Product((ZMod(2), ZMod(2)))))
+    n = ring.base.size
+    assert ring.size == 256
+    assert 0 < calls <= 4 * n * ring.size
 
 
 def test_encode_decode_roundtrip():
