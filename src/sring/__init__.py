@@ -54,10 +54,8 @@ from .predicates import (
     is_s_pf,
     is_s_pure,
     is_s_reduced,
-    is_s_zero_element,
     is_s_zero_ideal,
     is_u_s_armendariz_up_to,
-    is_u_s_reduced,
     localize,
     s_strongly_hopfian_profile,
     zero_product_poly_pairs,

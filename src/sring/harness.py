@@ -34,6 +34,7 @@ from .ideals import (
     ideal_intersection,
     ideal_product,
     ideal_sum,
+    intersection_mask,
     is_ideal_mask,
     is_maximal_ideal,
     is_prime_ideal,
@@ -51,7 +52,6 @@ from .predicates import (
     is_s_integral_domain,
     is_s_pf,
     is_s_reduced,
-    is_s_zero_element,
     is_u_s_armendariz_up_to,
     localize,
 )
@@ -322,10 +322,7 @@ class InstanceContext:
         def compute():
             primes = [I for I in self.ideals
                       if is_prime_ideal(I) and not (I.mask & self.S.mask)]
-            inter = (1 << self.ring.size) - 1
-            for P in primes:
-                inter &= P.mask
-            return primes, inter
+            return primes, intersection_mask(self.ring, primes)
         return self._memo("primes_missing_s", compute)
 
     @property
@@ -492,7 +489,7 @@ def _spectrum_s_zero(ctx: InstanceContext):
     witnesses = {}
     missing = []
     for x in inter.elements:
-        s = is_s_zero_element(ctx.ring, ctx.S, x)
+        s = ctx.S.witness((x,))
         if s is None:
             missing.append(ctx.lit(x))
         else:
@@ -527,7 +524,7 @@ def _nils_in_colon(ctx: InstanceContext):
 @_statement(StatementId.NILS_S_ZERO, _s_reduced)
 def _nils_s_zero(ctx: InstanceContext):
     missing = [ctx.lit(a) for a in ctx.nil_s.ideal.elements
-               if is_s_zero_element(ctx.ring, ctx.S, a) is None]
+               if ctx.S.witness((a,)) is None]
     return not missing, {"nil_s": ctx.lits(ctx.nil_s.ideal.elements),
                          "unwitnessed": missing}
 
@@ -611,7 +608,6 @@ def _product_of_fields(ctx: InstanceContext):
             lambda ctx: {"nondegenerate_mult_set": not ctx.S.contains_zero},
             droppable=False)
 def _poly_transfer(ctx: InstanceContext):
-    ring, S = ctx.ring, ctx.S
     nilp = sorted(ctx.nilpotents)
     degree = 2
     while degree > 0 and len(nilp) ** (degree + 1) > POLY_BUDGET:
@@ -631,9 +627,7 @@ def _poly_transfer(ctx: InstanceContext):
     poly_ok = True
     violating = None
     for vec in vectors:
-        s = next((s for s in S.members
-                  if all(ring.mul(s, c) == ring.zero for c in vec)), None)
-        if s is None:
+        if ctx.S.witness(vec) is None:
             poly_ok = False
             violating = [ctx.lit(c) for c in vec]
             break
@@ -699,17 +693,13 @@ def _s_reduced_implies_hopfian(ctx: InstanceContext):
     for a in range(ring.size):
         anns = annihilator_chain(ring, a)
         for n in range(len(anns) - 1):
-            upper, lower = anns[n + 1], anns[n]
-            s = next(
-                (s for s in S.members
-                 if all((lower >> ring.mul(s, y)) & 1
-                        for y in mask_elements(upper))),
-                None)
+            upper, lower = mask_elements(anns[n + 1]), anns[n]
+            s = S.witness(upper, lower)
             if s is None:
                 violations.append({"a": ctx.lit(a), "n": n + 1})
                 break
             # independent containment re-check, element by element
-            for y in mask_elements(upper):
+            for y in upper:
                 if not (lower >> ring.mul(s, y)) & 1:
                     violations.append({"a": ctx.lit(a), "n": n + 1,
                                        "s": ctx.lit(s), "y": ctx.lit(y)})
@@ -734,10 +724,8 @@ def _structure_data(ctx: InstanceContext) -> dict:
     With no S-minimal S-prime the kernel is the whole ring.
     """
     def compute():
-        ring, S = ctx.ring, ctx.S
-        kernel = (1 << ring.size) - 1
-        for P in ctx.s_minimal:
-            kernel &= P.mask
+        ring = ctx.ring
+        kernel = intersection_mask(ring, ctx.s_minimal)
         quotient_info = []
         for P in ctx.s_minimal:
             q = ctx.quotient(P)
@@ -747,7 +735,7 @@ def _structure_data(ctx: InstanceContext) -> dict:
                 "domain": sbar is not None and is_s_integral_domain(q, sbar) is not None,
                 "surjective": len({q.project(r) for r in range(ring.size)}) == q.size})
         torsion_witnesses = {
-            x: is_s_zero_element(ring, S, x) for x in mask_elements(kernel)}
+            x: ctx.S.witness((x,)) for x in mask_elements(kernel)}
         return {"kernel": kernel, "quotients": quotient_info,
                 "torsion": torsion_witnesses}
     return ctx._memo("structure", compute)
@@ -801,13 +789,12 @@ def _structure_converse(ctx: InstanceContext):
     violations = []
     derived = {}
     for a in sorted(ctx.nilpotents):
-        s_star = next((s for s in S.members if (kernel >> ring.mul(s, a)) & 1), None)
+        s_star = S.witness((a,), kernel)
         if s_star is None:
             violations.append({"reason": "no member maps the nilpotent into the kernel",
                                "a": ctx.lit(a)})
             continue
-        sa = ring.mul(s_star, a)
-        u = next((u for u in S.members if ring.mul(u, sa) == ring.zero), None)
+        u = S.witness((ring.mul(s_star, a),))
         if u is None:
             violations.append({"reason": "kernel element escaped S-torsion",
                                "a": ctx.lit(a)})

@@ -90,6 +90,22 @@ class MultiplicativeSet:
     def __contains__(self, x: int) -> bool:
         return bool((self.mask >> x) & 1)
 
+    def witness(self, xs, into: int = 1) -> int | None:
+        """Least member s, in index order, with s*x in ``into`` for every x in ``xs``.
+
+        ``into`` is a membership bitmask, by default the zero ideal, and the
+        product keeps the order s*x.  None when no member carries all of
+        ``xs`` into it.  ``xs`` is walked once per member tried.
+        """
+        mul = self.ring.mul
+        for s in self.members:
+            for x in xs:
+                if not (into >> mul(s, x)) & 1:
+                    break
+            else:
+                return s
+        return None
+
     def __repr__(self) -> str:
         return f"<MultSet {{{','.join(map(str, self.members))}}} of {self.ring.label}>"
 
@@ -151,6 +167,14 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ring, I.mask & J.mask, ())
+
+
+def intersection_mask(ring: FiniteRing, ideals) -> int:
+    """Bitmask of the intersection of ``ideals``; the whole ring when there are none."""
+    mask = (1 << ring.size) - 1
+    for I in ideals:
+        mask &= I.mask
+    return mask
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
@@ -287,12 +311,11 @@ def s_radical(ring: FiniteRing, S: MultiplicativeSet, I: Ideal) -> SRadicalResul
     search is bounded by the cycle of a's power sequence (at most |R|).
     """
     require_commutative(ring, "this ideal-theoretic operation")
-    members = S.members
     mask = 0
     witnesses: dict[int, tuple[int, int]] = {}
     for a in range(ring.size):
         for n, p in enumerate(power_cycle(ring, a), 1):
-            hit = next((s for s in members if (I.mask >> ring.mul(s, p)) & 1), None)
+            hit = S.witness((p,), I.mask)
             if hit is not None:
                 mask |= 1 << a
                 witnesses[a] = (hit, n)
@@ -387,23 +410,9 @@ def s_minimal_s_primes(ring: FiniteRing, S: MultiplicativeSet, *,
     if spectrum is None:
         spectrum = s_spectrum(ring, S, cap=cap)
     primes = [I for I, _ in spectrum]
-    out = []
-    for P in primes:
-        keep = True
-        for Q in primes:
-            if not Q.issubset(P):
-                continue
-            found = False
-            for s in S.members:
-                if all((Q.mask >> ring.mul(s, p)) & 1 for p in P.elements):
-                    found = True
-                    break
-            if not found:
-                keep = False
-                break
-        if keep:
-            out.append(P)
-    return out
+    return [P for P in primes
+            if all(S.witness(P.elements, Q.mask) is not None
+                   for Q in primes if Q.issubset(P))]
 
 
 def spectrum_intersection(ring: FiniteRing, S: MultiplicativeSet, *,
@@ -413,10 +422,7 @@ def spectrum_intersection(ring: FiniteRing, S: MultiplicativeSet, *,
         spectrum = s_spectrum(ring, S, cap=cap)
     if not spectrum:
         raise EmptySpectrumError(f"{ring.label} has no S-prime ideal for this S")
-    mask = (1 << ring.size) - 1
-    for I, _ in spectrum:
-        mask &= I.mask
-    return Ideal(ring, mask, ())
+    return Ideal(ring, intersection_mask(ring, (I for I, _ in spectrum)), ())
 
 
 def dominant_colon_witness(S: MultiplicativeSet, P: Ideal) -> tuple[int, Ideal]:

@@ -1,9 +1,14 @@
 """Predicates for a ring with a designated multiplicative subset.
 
 Every verdict carries explicit witnesses chosen at the least canonical
-index, so repeated runs print identical reports.  When the multiplicative
-set contains zero every predicate short-circuits to the trivial verdict
-with witness 0 and the certificate is watermarked degenerate.
+index, so repeated runs print identical reports.  A witness that some s in
+S carries a set X into an ideal I (s*a = 0, s*a = a*b, s*ann(a**n) inside
+ann(a**k)) is the least one :meth:`MultiplicativeSet.witness` finds; the
+S-integral-domain and zero-product witnesses quantify differently (sa = 0
+or sb = 0; every killer of every coefficient product) and keep their own
+searches.  When the multiplicative set contains zero every predicate
+short-circuits to the trivial verdict with witness 0 and the certificate is
+watermarked degenerate.
 
 Bounded-degree zero-product searches never claim anything beyond their
 degree bound and search mode; both fields travel with the verdict.
@@ -98,24 +103,14 @@ def is_s_reduced(ring: FiniteRing, S: MultiplicativeSet) -> SReducedCertificate:
         nil = sorted(nilpotent_profile(ring))
         return SReducedCertificate(True, {a: ring.zero for a in nil}, ring.zero,
                                    None, degenerate=True)
-    members = S.members
     nilpotents = sorted(nilpotent_profile(ring))
     witnesses: dict[int, int] = {}
     for a in nilpotents:
-        hit = next((s for s in members if ring.mul(s, a) == ring.zero), None)
+        hit = S.witness((a,))
         if hit is None:
             return SReducedCertificate(False, witnesses, None, a)
         witnesses[a] = hit
-    uniform = next(
-        (s for s in members
-         if all(ring.mul(s, a) == ring.zero for a in nilpotents)),
-        None)
-    return SReducedCertificate(True, witnesses, uniform, None)
-
-
-def is_u_s_reduced(ring: FiniteRing, S: MultiplicativeSet) -> int | None:
-    """Least member of S killing every nilpotent at once, if one exists."""
-    return is_s_reduced(ring, S).uniform_witness
+    return SReducedCertificate(True, witnesses, S.witness(nilpotents), None)
 
 
 def is_s_integral_domain(ring: FiniteRing, S: MultiplicativeSet) -> int | None:
@@ -135,14 +130,6 @@ def is_s_integral_domain(ring: FiniteRing, S: MultiplicativeSet) -> int | None:
     return None
 
 
-def is_s_zero_element(ring: FiniteRing, S: MultiplicativeSet, a: int) -> int | None:
-    """Least s with s*a = 0, if any."""
-    for s in S.members:
-        if ring.mul(s, a) == ring.zero:
-            return s
-    return None
-
-
 @dataclass(frozen=True)
 class SZeroIdealResult:
     verdict: bool
@@ -151,10 +138,9 @@ class SZeroIdealResult:
 
 
 def is_s_zero_ideal(S: MultiplicativeSet, I: Ideal) -> SZeroIdealResult:
-    ring = I.ring
     witnesses: dict[int, int] = {}
     for a in I.elements:
-        s = is_s_zero_element(ring, S, a)
+        s = S.witness((a,))
         if s is None:
             return SZeroIdealResult(False, witnesses, a)
         witnesses[a] = s
@@ -229,8 +215,7 @@ def is_s_pure(S: MultiplicativeSet, I: Ideal) -> SPureResult:
     for a in elems:
         found = None
         for b in elems:
-            ab = ring.mul(a, b)
-            hit = next((s for s in S.members if ring.mul(s, a) == ab), None)
+            hit = S.witness((a,), 1 << ring.mul(a, b))
             if hit is not None:
                 found = (b, hit)
                 break
@@ -287,22 +272,14 @@ def s_strongly_hopfian_profile(ring: FiniteRing,
         top = anns[-1]
         top_elements = mask_elements(top)
         stabilization = next(i + 1 for i, m in enumerate(anns) if m == top)
-        entry = None
+        # at k = stabilization the target is the top annihilator, an ideal,
+        # so every member passes and the walk always stops
         for k in range(1, stabilization + 1):
-            target = anns[k - 1]
-            for s in S.members:
-                if all((target >> ring.mul(s, y)) & 1 for y in top_elements):
-                    entry = HopfianEntry(
-                        k, s, stabilization,
-                        tuple(m.bit_count() for m in anns))
-                    break
-            if entry is not None:
+            s = S.witness(top_elements, anns[k - 1])
+            if s is not None:
                 break
-        if entry is None:
-            # s = 1 at the stabilization point always works
-            entry = HopfianEntry(stabilization, ring.one, stabilization,
-                                 tuple(m.bit_count() for m in anns))
-        profile[a] = entry
+        profile[a] = HopfianEntry(k, s, stabilization,
+                                  tuple(m.bit_count() for m in anns))
     return profile
 
 
@@ -572,7 +549,7 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
             histogram[w] = histogram.get(w, 0) + 1
         elif per_pair_ok:
             per_pair_ok = False
-            per_pair_violation = _locate_violation(ring, members, a, b)
+            per_pair_violation = _locate_violation(ring, S, a, b)
         if uniform_mask:
             uniform_mask &= pm
             if not uniform_mask:
@@ -593,14 +570,10 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     )
 
 
-def _locate_violation(ring: FiniteRing, members, a, b) -> ArmendarizViolation:
-    zero = ring.zero
-    mul = ring.mul
+def _locate_violation(ring: FiniteRing, S: MultiplicativeSet, a, b) -> ArmendarizViolation:
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            p = mul(ai, bj)
-            if p == zero:
-                continue
-            if all(mul(s, p) != zero for s in members):
+            p = ring.mul(ai, bj)
+            if p != ring.zero and S.witness((p,)) is None:
                 return ArmendarizViolation(a, b, i, j, strong=True)
     return ArmendarizViolation(a, b, None, None, strong=False)

@@ -879,93 +879,78 @@ def _realize(expr, size_cap: int) -> FiniteRing:
     raise MalformedExpressionError(f"unknown expression node {expr!r}")
 
 
-def _quick_axiom_sample(ring: FiniteRing, triples: int = 64) -> None:
-    """Seeded spot check of the ring axioms; raises on the first failure."""
-    rng = random.Random(0xC0FFEE ^ ring.size)
-    size = ring.size
+def _axiom_failure(ring: FiniteRing, elements, triples) -> str | None:
+    """The first ring axiom failing, or None when all hold.
+
+    The identity and inverse axioms are checked at each of ``elements``,
+    then the others at each (a, b, c) of ``triples``, in a fixed order; a
+    failure reads "<axiom> fails at <element or triple>".
+    """
     add, mul, neg = ring.add, ring.mul, ring.neg
     zero, one = ring.zero, ring.one
-    if size > 1 and zero == one:
-        raise MalformedExpressionError(f"{ring.label}: zero equals one")
+    if ring.size > 1 and zero == one:
+        return "zero equals one"
+    for a in elements:
+        if add(a, zero) != a:
+            return f"additive identity fails at {a}"
+        if mul(a, one) != a or mul(one, a) != a:
+            return f"multiplicative identity fails at {a}"
+        if add(a, neg(a)) != zero:
+            return f"additive inverse fails at {a}"
+    commutative = ring.commutative
+    for a, b, c in triples:
+        if add(add(a, b), c) != add(a, add(b, c)):
+            axiom = "associativity of addition"
+        elif add(a, b) != add(b, a):
+            axiom = "commutativity of addition"
+        elif mul(mul(a, b), c) != mul(a, mul(b, c)):
+            axiom = "associativity of multiplication"
+        elif mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+            axiom = "left distributivity"
+        elif mul(add(b, c), a) != add(mul(b, a), mul(c, a)):
+            axiom = "right distributivity"
+        elif commutative and mul(a, b) != mul(b, a):
+            axiom = "commutativity of multiplication"
+        else:
+            continue
+        return f"{axiom} fails at {(a, b, c)}"
+    return None
 
-    def require(holds: bool, axiom: str) -> None:
-        if not holds:
-            raise MalformedExpressionError(
-                f"{ring.label}: {axiom} fails at {(a, b, c)}")
 
-    for _ in range(triples):
-        a = rng.randrange(size)
-        b = rng.randrange(size)
-        c = rng.randrange(size)
-        require(add(a, zero) == a, "additive identity")
-        require(mul(a, one) == a and mul(one, a) == a, "multiplicative identity")
-        require(add(a, neg(a)) == zero, "additive inverse")
-        require(add(add(a, b), c) == add(a, add(b, c)), "associativity of addition")
-        require(add(a, b) == add(b, a), "commutativity of addition")
-        require(mul(mul(a, b), c) == mul(a, mul(b, c)),
-                "associativity of multiplication")
-        require(mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), "left distributivity")
-        require(mul(add(b, c), a) == add(mul(b, a), mul(c, a)), "right distributivity")
-        if ring.commutative:
-            require(mul(a, b) == mul(b, a), "commutativity of multiplication")
+def _sampled_triples(size: int, count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng.randrange(size), rng.randrange(size), rng.randrange(size)
+
+
+def _quick_axiom_sample(ring: FiniteRing, triples: int = 64) -> None:
+    """Seeded spot check of the ring axioms; raises on the first failure.
+
+    The identity and inverse axioms are checked at the first entry of each
+    sampled triple.
+    """
+    sample = list(_sampled_triples(ring.size, triples, 0xC0FFEE ^ ring.size))
+    failure = _axiom_failure(ring, [a for a, _, _ in sample], sample)
+    if failure is not None:
+        raise MalformedExpressionError(f"{ring.label}: {failure}")
 
 
 def verify_ring_axioms(ring: FiniteRing, *, exhaustive_limit: int = AXIOM_EXHAUSTIVE_LIMIT,
                        samples: int = AXIOM_SAMPLE_TRIPLES, seed: int = 0) -> list[str]:
     """Check the ring axioms, exhaustively for small carriers.
 
-    Returns a list of human-readable failure descriptions (empty when all
-    axioms hold).  Above ``exhaustive_limit`` elements the triple checks
-    downgrade to ``samples`` seeded random draws.
+    Returns the first failure as a one-element list of its human-readable
+    description (empty when all axioms hold).  The identity and inverse
+    axioms are checked at every element; above ``exhaustive_limit`` elements
+    the triple checks downgrade to ``samples`` seeded random draws.
     """
-    failures: list[str] = []
     size = ring.size
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    zero, one = ring.zero, ring.one
-
-    if size > 1 and zero == one:
-        failures.append("zero equals one")
-    for a in range(size):
-        if add(a, zero) != a:
-            failures.append(f"additive identity fails at {a}")
-        if mul(a, one) != a or mul(one, a) != a:
-            failures.append(f"multiplicative identity fails at {a}")
-        if add(a, neg(a)) != zero:
-            failures.append(f"additive inverse fails at {a}")
-        if failures:
-            break
-
-    def triples():
-        if size <= exhaustive_limit:
-            for a in range(size):
-                for b in range(size):
-                    for c in range(size):
-                        yield a, b, c
-        else:
-            rng = random.Random(seed)
-            for _ in range(samples):
-                yield rng.randrange(size), rng.randrange(size), rng.randrange(size)
-
-    for a, b, c in triples():
-        if add(add(a, b), c) != add(a, add(b, c)):
-            failures.append(f"addition not associative at {(a, b, c)}")
-            break
-        if add(a, b) != add(b, a):
-            failures.append(f"addition not commutative at {(a, b)}")
-            break
-        if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            failures.append(f"multiplication not associative at {(a, b, c)}")
-            break
-        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-            failures.append(f"left distributivity fails at {(a, b, c)}")
-            break
-        if mul(add(b, c), a) != add(mul(b, a), mul(c, a)):
-            failures.append(f"right distributivity fails at {(a, b, c)}")
-            break
-        if ring.commutative and mul(a, b) != mul(b, a):
-            failures.append(f"multiplication not commutative at {(a, b)}")
-            break
-    return failures
+    if size <= exhaustive_limit:
+        triples = itertools.product(range(size), repeat=3)
+    else:
+        triples = _sampled_triples(size, samples, seed)
+    failure = _axiom_failure(ring, range(size), triples)
+    return [] if failure is None else [failure]
 
 
 # ---------------------------------------------------------------------------

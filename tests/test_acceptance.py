@@ -332,3 +332,22 @@ VERIFY_STREAM_SHA256 = "2661c470e9b35a65cc56092c3549a1374e6ffd1b969115dc950f5461
 def test_verify_stream_matches_recorded_digest(verify_runs):
     stream = verify_runs["streams"][0]
     assert hashlib.sha256(stream).hexdigest() == VERIFY_STREAM_SHA256
+
+
+# sha256 of the verify --all --seed 7 --count 40 --max-size 128 --budget 2000
+# stream.  Its corpus holds rings of 65 to 128 elements, which the default
+# corpus lacks.  A change that moves the stream on purpose updates this and
+# says why, as with VERIFY_STREAM_SHA256.
+MANY_RINGS_STREAM_SHA256 = "a9978327321546755d1a3eb71fd19689c6b9e98a6af8658893f8cf57bd418c68"
+
+
+def test_many_rings_stream_matches_recorded_digest(tmp_path):
+    corpus = generate_corpus(CorpusConfig(seed=7, count=40, max_size=128))
+    assert any(inst.ring.size > 64 for inst in corpus)
+    out = tmp_path / "many_rings.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["verify", "--all", "--seed", "7", "--count", "40",
+                         "--max-size", "128", "--budget", "2000", "--workers", "1",
+                         "--jsonl", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MANY_RINGS_STREAM_SHA256

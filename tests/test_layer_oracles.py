@@ -1,5 +1,5 @@
-"""Brute-force oracles for the mask decoder, the S-prime test, the
-S-integral-domain predicate and the localization kernel.
+"""Brute-force oracles for the mask decoder, the S-witness search, the
+S-prime test, the S-integral-domain predicate and the localization kernel.
 
 Each reference is the plain definition written out here, with no shortcut
 the library takes: bit-by-bit decoding, the full list of pairs outside P
@@ -11,7 +11,10 @@ import itertools
 import pytest
 
 from sring import (
+    Idealization,
+    ModuleSpec,
     Product,
+    TriangularE,
     ZMod,
     ZeroInClosureError,
     build_ring,
@@ -47,6 +50,61 @@ def test_mask_elements_against_bit_loop():
     assert mask_elements(1) == (0,)
     assert mask_elements(1 << 719) == (719,)
     assert mask_elements(dense) == tuple(range(720))
+
+
+def naive_witness(S, xs, into):
+    ring = S.ring
+    return min((s for s in naive_mask_elements(S.mask)
+                if all((into >> ring.mul(s, x)) & 1 for x in xs)), default=None)
+
+
+def _witness_cases():
+    """(ring, multiplicative sets, target masks, element tuples) per ring.
+
+    Targets are the zero ideal, every singleton set and, on a commutative
+    ring, every ideal; the element tuples are every singleton, the empty
+    tuple and, on a commutative ring, every ideal's members.
+    """
+    exprs = [ZMod(n) for n in range(2, 25)] + [
+        Product((ZMod(2), ZMod(4))),
+        Idealization(ZMod(4), ModuleSpec(((0,),))),
+        TriangularE(ZMod(2)),
+    ]
+    for expr in exprs:
+        ring = build_ring(expr)
+        n = ring.size
+        sets = {}
+        for g in range(n):
+            S = mult_closure(ring, (g,), allow_zero=True)
+            sets.setdefault(S.mask, S)
+        targets = [1] + [1 << t for t in range(n)]
+        xss = [(x,) for x in range(n)] + [()]
+        if ring.commutative:
+            ideals = enumerate_ideals(ring)
+            targets += [I.mask for I in ideals]
+            xss += [I.elements for I in ideals]
+        yield ring, list(sets.values()), targets, xss
+
+
+def test_witness_against_min_over_members():
+    outcomes = set()
+    order_matters = 0
+    for ring, sets, targets, xss in _witness_cases():
+        for S in sets:
+            for into in targets:
+                for xs in xss:
+                    want = naive_witness(S, xs, into)
+                    assert S.witness(xs, into) == want, (ring.label, S, xs, into)
+                    outcomes.add("none" if want is None else
+                                 "least" if want == min(S.members) else "later")
+                    if not ring.commutative:
+                        flipped = min((s for s in S.members
+                                       if all((into >> ring.mul(x, s)) & 1 for x in xs)),
+                                      default=None)
+                        order_matters += flipped != want
+    assert outcomes == {"none", "least", "later"}
+    # on E(Z2) reading x*s for s*x changes some answers, so the order is pinned
+    assert order_matters > 0
 
 
 def _mult_sets(ring, gens):

@@ -14,9 +14,7 @@ from sring import (
     is_s_pf,
     is_s_pure,
     is_s_reduced,
-    is_s_zero_element,
     is_s_zero_ideal,
-    is_u_s_reduced,
     localize,
     mult_closure,
     s_strongly_hopfian_profile,
@@ -48,11 +46,11 @@ def test_s_reduced_z12_and_failure(z12, s12):
 
 
 def test_u_s_reduced(z24, s24):
-    assert is_u_s_reduced(z24, s24) == 4
+    assert is_s_reduced(z24, s24).uniform_witness == 4
     z6 = build_ring(ZMod(6))
-    assert is_u_s_reduced(z6, mult_closure(z6, (1,))) == 1
+    assert is_s_reduced(z6, mult_closure(z6, (1,))).uniform_witness == 1
     z8 = build_ring(ZMod(8))
-    assert is_u_s_reduced(z8, mult_closure(z8, (3,))) is None
+    assert is_s_reduced(z8, mult_closure(z8, (3,))).uniform_witness is None
 
 
 def test_s_integral_domain():
@@ -83,9 +81,9 @@ def test_s_integral_domain_z12_settled_by_oracle(z12, s12):
 
 
 def test_s_zero(z24, s24):
-    assert is_s_zero_element(z24, s24, 3) == 8
-    assert is_s_zero_element(z24, s24, 0) == 1
-    assert is_s_zero_element(z24, s24, 1) is None
+    assert s24.witness((3,)) == 8
+    assert s24.witness((0,)) == 1
+    assert s24.witness((1,)) is None
     res = is_s_zero_ideal(s24, ideal_generated(z24, (3,)))
     assert res.verdict
     for a, s in res.witnesses.items():

@@ -81,13 +81,32 @@ class _SkewSum(ZModRing):
         return (2 * a + b) % self.n
 
 
+class _TwistedProduct(ZModRing):
+    """Z_n whose product gains (a-1)(b-1)(a-b): 1 stays the identity, but
+    the product is neither associative nor commutative."""
+
+    def mul(self, a, b):
+        return (a * b + (a - 1) * (b - 1) * (a - b)) % self.n
+
+
 def test_axiom_sample_raises_instead_of_asserting():
     # a real error, so the check survives python -O
     with pytest.raises(MalformedExpressionError, match="Z5: multiplicative identity"):
         _quick_axiom_sample(_OffByOneProduct(5))
     with pytest.raises(MalformedExpressionError, match="Z6: additive identity"):
         _quick_axiom_sample(_SkewSum(6))
+    with pytest.raises(MalformedExpressionError,
+                       match="Z7: associativity of multiplication"):
+        _quick_axiom_sample(_TwistedProduct(7))
     _quick_axiom_sample(ZModRing(6))
+
+
+def test_exhaustive_axioms_report_the_first_failure():
+    assert verify_ring_axioms(_OffByOneProduct(5)) == [
+        "multiplicative identity fails at 0"]
+    assert verify_ring_axioms(_TwistedProduct(7)) == [
+        "associativity of multiplication fails at (0, 0, 3)"]
+    assert verify_ring_axioms(ZModRing(6)) == []
 
 
 def test_triangular_carrier_size_and_matrix_oracle():
