@@ -336,9 +336,10 @@ def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int)
     D = degree
     zero = ring.zero
     zero_vec = (0,) * (D + 1)
+    coefficients = range(D + 1)
     emitted = 0
     while emitted < budget:
-        a = tuple(int(rnd() * size) for _ in range(D + 1))
+        a = tuple([int(rnd() * size) for _ in coefficients])
         b = None
         for _ in range(2):
             cand = []
@@ -347,7 +348,8 @@ def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int)
                 t = zero
                 for i in range(1, k + 1):
                     t = add(t, mul(a[i], cand[k - i]))
-                x = solve(a[0], neg(t), rng)
+                # the k = 0 condition is a0*b0 = 0: no sum to negate
+                x = solve(a[0], neg(t) if k else zero, rng)
                 if x is None:
                     fail = True
                     break

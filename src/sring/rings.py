@@ -5,8 +5,9 @@ is computed structurally from the expression (residues, tuples, cosets), so
 rings with tens of thousands of elements stay cheap to construct.  For
 carriers up to 256 elements :class:`FiniteRing` binds ``add``/``mul``/``neg``
 to flat operation tables, the one place where table and structure meet;
-larger carriers call the structured methods directly.  No carrier fills
-its tables entry by entry through the structured arithmetic: product,
+larger carriers call the structured methods directly, and a triangular
+carrier's methods run digit by digit on its base's flat tables.  No carrier
+fills its tables entry by entry through the structured arithmetic: product,
 idealization and triangular indices are mixed-radix, so their ``add`` and
 ``neg`` tables (and the product's ``mul``) are Kronecker folds of their
 components' tables, the idealization and triangular ``mul`` rows are sums
@@ -175,7 +176,10 @@ class FiniteRing:
     the large carriers the Armendariz statements sample (111,581 and
     161,164 calls in ``verify --all --seed 42 --budget 5000``), and drawing
     from their complete lists made those statements about 40% and 48%
-    slower.  No workload samples a large Z_n, product or quotient carrier.
+    slower.  A triangular carrier above ``OP_TABLE_LIMIT`` computes, and
+    solves, digit by digit on its base's flat tables (see
+    :class:`TriangularERing`).  No workload samples a large Z_n, product or
+    quotient carrier.
     """
 
     commutative = True
@@ -399,7 +403,7 @@ class ProductRing(FiniteRing):
 
 
 def _digitwise_table(digits, op: str) -> list[int]:
-    """Flat table of the binary operation ``op`` ("add" or "mul") on
+    """Flat table of the binary operation ``op`` ("add", "sub" or "mul") on
     mixed-radix indices whose digits, least significant first, are elements
     of the rings ``digits``, for an operation that acts digit by digit.
 
@@ -640,6 +644,12 @@ class TriangularERing(FiniteRing):
     Noncommutative for bases with more than one element (the b1*d2 cross
     term has no mirror), so only the operations that do not assume
     commutativity may be used on this carrier.
+
+    An index is four base digits (a, b, c, d), d the least significant.
+    Arithmetic and the solvers run on flat tables of the base: its ``neg``
+    and, indexed p * n + q for base elements p and q, its ``add``, ``mul``
+    and ``sub`` and its complete solution lists of p*x = q.  So even a
+    carrier above ``OP_TABLE_LIMIT`` makes no call into its base per digit.
     """
 
     def __init__(self, base: FiniteRing, expression=None):
@@ -649,10 +659,15 @@ class TriangularERing(FiniteRing):
             expression = TriangularE(base.expression)
         super().__init__(n ** 4, expression, base.one * n ** 3)
         self.commutative = base.size == 1
+        self._add_t = _digitwise_table((base,), "add")
+        self._mul_t = _digitwise_table((base,), "mul")
+        self._sub_t = _digitwise_table((base,), "sub")
+        self._neg_t = _digitwise_neg((base,))
+        self._solutions_t = [base.solve_mul_all(p, q)
+                             for p in range(n) for q in range(n)]
         self._install_op_tables()
 
     def _op_tables(self) -> tuple[list[int], list[int], list[int]]:
-        # an index is four base digits (a, b, c, d), d the least significant
         return _mixed_radix_tables(self, (self.base,) * 4)
 
     def _split(self, i: int) -> tuple[int, int, int, int]:
@@ -667,25 +682,42 @@ class TriangularERing(FiniteRing):
         return ((a * n + b) * n + c) * n + d
 
     def add(self, x, y):
-        B = self.base
-        a1, b1, c1, d1 = self._split(x)
-        a2, b2, c2, d2 = self._split(y)
-        return self._join(B.add(a1, a2), B.add(b1, b2), B.add(c1, c2), B.add(d1, d2))
+        n = self.base.size
+        at = self._add_t
+        x, d1 = divmod(x, n)
+        x, c1 = divmod(x, n)
+        a1, b1 = divmod(x, n)
+        y, d2 = divmod(y, n)
+        y, c2 = divmod(y, n)
+        a2, b2 = divmod(y, n)
+        return (((at[a1 * n + a2] * n + at[b1 * n + b2]) * n
+                 + at[c1 * n + c2]) * n + at[d1 * n + d2])
 
     def neg(self, x):
-        B = self.base
-        a, b, c, d = self._split(x)
-        return self._join(B.neg(a), B.neg(b), B.neg(c), B.neg(d))
+        n = self.base.size
+        nt = self._neg_t
+        x, d = divmod(x, n)
+        x, c = divmod(x, n)
+        a, b = divmod(x, n)
+        return ((nt[a] * n + nt[b]) * n + nt[c]) * n + nt[d]
 
     def mul(self, x, y):
-        B = self.base
-        a1, b1, c1, d1 = self._split(x)
-        a2, b2, c2, d2 = self._split(y)
-        a = B.mul(a1, a2)
-        b = B.add(B.mul(a1, b2), B.mul(b1, a2))
-        c = B.add(B.add(B.mul(a1, c2), B.mul(b1, d2)), B.mul(c1, a2))
-        d = B.add(B.mul(a1, d2), B.mul(d1, a2))
-        return self._join(a, b, c, d)
+        # (a1 b1 c1; 0 a1 d1; 0 0 a1)(a2 b2 c2; 0 a2 d2; 0 0 a2) =
+        # (a1a2, a1b2 + b1a2, a1c2 + b1d2 + c1a2, a1d2 + d1a2)
+        n = self.base.size
+        at, mt = self._add_t, self._mul_t
+        x, d1 = divmod(x, n)
+        x, c1 = divmod(x, n)
+        a1, b1 = divmod(x, n)
+        y, d2 = divmod(y, n)
+        y, c2 = divmod(y, n)
+        a2, b2 = divmod(y, n)
+        a1, b1 = a1 * n, b1 * n
+        a = mt[a1 + a2]
+        b = at[mt[a1 + b2] * n + mt[b1 + a2]]
+        c = at[at[mt[a1 + c2] * n + mt[b1 + d2]] * n + mt[c1 * n + a2]]
+        d = at[mt[a1 + d2] * n + mt[d1 * n + a2]]
+        return ((a * n + b) * n + c) * n + d
 
     def decode(self, index):
         return tuple(self.base.decode(x) for x in self._split(index))
@@ -699,49 +731,72 @@ class TriangularERing(FiniteRing):
         a, b, c, d = (self.base.encode(x) for x in literal)
         return self._join(a, b, c, d)
 
+    def _equations(self, alpha, tau) -> tuple[int, ...]:
+        """The digits of alpha = (a, b, c, d) and tau = (t0, t1, t2, t3).
+
+        alpha*(x, y, z, w) = tau is four base equations with the left factor
+        a: a*x = t0, a*y = t1 - b*x, a*w = t3 - d*x and a*z = t2 - b*w - c*x.
+        Every digit but t0 comes times n, as a row of the base tables.
+        """
+        n = self.base.size
+        alpha, d = divmod(alpha, n)
+        alpha, c = divmod(alpha, n)
+        a, b = divmod(alpha, n)
+        tau, t3 = divmod(tau, n)
+        tau, t2 = divmod(tau, n)
+        t0, t1 = divmod(tau, n)
+        a, b, c, d = a * n, b * n, c * n, d * n
+        t1, t2, t3 = t1 * n, t2 * n, t3 * n
+        return a, b, c, d, t0, t1, t2, t3
+
     def _solve_all(self, alpha, tau):
-        B = self.base
-        a1, b1, c1, d1 = self._split(alpha)
-        t0, t1, t2, t3 = self._split(tau)
+        n = self.base.size
+        mt, st, sols = self._mul_t, self._sub_t, self._solutions_t
+        a, b, c, d, t0, t1, t2, t3 = self._equations(alpha, tau)
         out = []
-        for x in B.solve_mul_all(a1, t0):
-            ys = B.solve_mul_all(a1, B.sub(t1, B.mul(b1, x)))
+        for x in sols[a + t0]:
+            ys = sols[a + st[t1 + mt[b + x]]]
             if not ys:
                 continue
-            for w in B.solve_mul_all(a1, B.sub(t3, B.mul(d1, x))):
-                zt = B.sub(B.sub(t2, B.mul(b1, w)), B.mul(c1, x))
-                for z in B.solve_mul_all(a1, zt):
-                    for y in ys:
-                        out.append(self._join(x, y, z, w))
+            cx = mt[c + x]
+            for w in sols[a + st[t3 + mt[d + x]]]:
+                for z in sols[a + st[st[t2 + mt[b + w]] * n + cx]]:
+                    out.extend(((x * n + y) * n + z) * n + w for y in ys)
         out.sort()
         return out
 
     def _solve_random(self, alpha, tau, rng):
-        # all four component equations share the left factor a1, but their
-        # solvability depends on x (and w), so probe those candidate sets
-        # from random offsets; complete up to the probe caps
-        B = self.base
-        a1, b1, c1, d1 = self._split(alpha)
-        t0, t1, t2, t3 = self._split(tau)
-        xs = B.solve_mul_all(a1, t0)
+        # the equations share the left factor a, but their solvability
+        # depends on x (and w), so probe those candidate sets from random
+        # offsets; complete up to the probe caps.  y and z are uniform draws
+        # from their complete lists, as the base's solve_mul_random makes
+        # them: a base has at most SOLUTION_CACHE_LIMIT elements under any
+        # size cap below 256**4.
+        n = self.base.size
+        mt, st, sols = self._mul_t, self._sub_t, self._solutions_t
+        rnd = rng.random
+        a, b, c, d, t0, t1, t2, t3 = self._equations(alpha, tau)
+        xs = sols[a + t0]
         if not xs:
             return None
-        xstart = int(rng.random() * len(xs))
+        xstart = int(rnd() * len(xs))
         for kx in range(min(len(xs), 16)):
             x = xs[(xstart + kx) % len(xs)]
-            y = B.solve_mul_random(a1, B.sub(t1, B.mul(b1, x)), rng)
-            if y is None:
+            ys = sols[a + st[t1 + mt[b + x]]]
+            if not ys:
                 continue
-            ws = B.solve_mul_all(a1, B.sub(t3, B.mul(d1, x)))
+            y = ys[int(rnd() * len(ys))]
+            ws = sols[a + st[t3 + mt[d + x]]]
             if not ws:
                 continue
-            wstart = int(rng.random() * len(ws))
+            cx = mt[c + x]
+            wstart = int(rnd() * len(ws))
             for kw in range(min(len(ws), 16)):
                 w = ws[(wstart + kw) % len(ws)]
-                z = B.solve_mul_random(
-                    a1, B.sub(B.sub(t2, B.mul(b1, w)), B.mul(c1, x)), rng)
-                if z is not None:
-                    return self._join(x, y, z, w)
+                zs = sols[a + st[st[t2 + mt[b + w]] * n + cx]]
+                if zs:
+                    z = zs[int(rnd() * len(zs))]
+                    return ((x * n + y) * n + z) * n + w
         return None
 
 

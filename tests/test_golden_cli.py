@@ -38,6 +38,14 @@ CASES = [("spectrum", "z288_s22")] + [
     # Z24(+)Z24 (576 elements, above the operation-table limit), S = <(5, (0))>
     ("check u-s-armendariz --max-degree 1 --budget 3000 --seed 5",
      "z24_idealization_s5"),
+    # E(Z6) (1,296 elements), S = <(2, 2, 2, 2)>: every sampled pair has the
+    # witness 1, so this pins the verdict on a triangular carrier above the
+    # solution cache but not the draws
+    ("check u-s-armendariz --max-degree 1 --budget 3000 --seed 5", "e_z6_s2222"),
+    # E(Z8) (4,096 elements), S = <(3, 0, 0, 0)>: the histogram counts the
+    # sampled pairs with a witness, so it moves with the triangular solver's
+    # random draws
+    ("check u-s-armendariz --max-degree 1 --budget 3000 --seed 5", "e_z8_s3000"),
 ]
 
 SEARCHES = [f"search --statement {stmt.name} --variant {variant} --budget 2000"

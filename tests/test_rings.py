@@ -1,6 +1,7 @@
 """Ring construction, arithmetic, and classification against brute oracles."""
 
 import copy
+import math
 import random
 
 import pytest
@@ -110,8 +111,8 @@ def test_exhaustive_axioms_report_the_first_failure():
 
 
 def test_triangular_carrier_size_and_matrix_oracle():
-    ring = build_ring(TriangularE(ZMod(12)), size_cap=30000)
-    assert ring.size == 12 ** 4
+    # both carriers are above the operation-table limit, so this checks the
+    # structured arithmetic; the base Z2 x Z3 is not cyclic
     rng = random.Random(1)
 
     def matmul(x, y, n):
@@ -123,9 +124,23 @@ def test_triangular_carrier_size_and_matrix_oracle():
               for j in range(3)] for i in range(3)]
         return (m[0][0], m[0][1], m[0][2], m[1][2])
 
-    for _ in range(1000):
-        i, j = rng.randrange(ring.size), rng.randrange(ring.size)
-        assert ring.decode(ring.mul(i, j)) == matmul(ring.decode(i), ring.decode(j), 12)
+    for base, moduli in ((ZMod(12), (12,)), (Product((ZMod(2), ZMod(3))), (2, 3))):
+        ring = build_ring(TriangularE(base), size_cap=30000)
+        assert ring.size == math.prod(moduli) ** 4
+
+        def quadruples(i):
+            # the decoded quadruple as one (a, b, c, d) of residues per modulus
+            digits = [v if isinstance(v, tuple) else (v,) for v in ring.decode(i)]
+            return [tuple(v[k] for v in digits) for k in range(len(moduli))]
+
+        for _ in range(1000):
+            i, j = rng.randrange(ring.size), rng.randrange(ring.size)
+            for n, x, y, total, product, negative in zip(
+                    moduli, quadruples(i), quadruples(j), quadruples(ring.add(i, j)),
+                    quadruples(ring.mul(i, j)), quadruples(ring.neg(i))):
+                assert total == tuple((u + v) % n for u, v in zip(x, y))
+                assert product == matmul(x, y, n)
+                assert negative == tuple(-u % n for u in x)
 
 
 def test_triangular_carrier_is_noncommutative():
@@ -315,6 +330,9 @@ def test_solve_mul_matches_scan():
         ZMod(720),
         Product((ZMod(16), ZMod(32))),
         Quotient(ZMod(1024), (512,)),
+        # above the solution cache: the triangular solver over base tables
+        TriangularE(ZMod(5)),
+        TriangularE(Product((ZMod(2), ZMod(3)))),
     ]
     for expr in exprs:
         ring = build_ring(expr, size_cap=4096)
@@ -330,7 +348,9 @@ def test_solve_mul_matches_scan():
                 elif pick is None:
                     # without a solution cache the idealization walks at most
                     # 16 of the base solutions y of r*y = tr; only then may it
-                    # miss
+                    # miss.  The triangular solver probes at most 16 of its x
+                    # and w candidates, base elements all, so over these bases
+                    # of at most 16 elements it never misses.
                     assert ring.size > 256 and isinstance(expr, Idealization)
                     r, tr = a // ring.module_size, t // ring.module_size
                     assert len(ring.base.solve_mul_all(r, tr)) > 16
