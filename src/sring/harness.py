@@ -889,21 +889,17 @@ _WORKER_STATE: dict = {}
 def _worker_init(instance_docs, cfg):
     _WORKER_STATE["docs"] = instance_docs
     _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["ctx"] = {}
 
 
-def _worker_run(index: int):
-    docs = _WORKER_STATE["docs"]
+def _worker_run(position: int) -> list[StatementReport]:
+    """Reports for the instance at ``position`` of the fanned-out list,
+    numbered with that instance's own index."""
+    doc, index = _WORKER_STATE["docs"][position]
     cfg = _WORKER_STATE["cfg"]
-    doc = docs[index]
     ring, S = parse_ring_data({k: doc[k] for k in ("ring", "mult_set")})
     instance = CorpusInstance(doc["label"], "worker", ring, S, index)
     ctx = InstanceContext(instance, cfg)
-    out = []
-    for stmt in StatementId:
-        report = check_statement(stmt, instance, cfg, ctx)
-        out.append(report)
-    return index, out
+    return [check_statement(stmt, instance, cfg, ctx) for stmt in StatementId]
 
 
 def default_workers() -> int:
@@ -934,13 +930,16 @@ def run_catalog(instances: list[CorpusInstance], cfg: VerifyConfig | None = None
     statements = statements or list(StatementId)
     workers = workers if workers is not None else default_workers()
     reports: list[StatementReport] = []
+    # a statement subset runs serially: starting the pool and rebuilding
+    # every ring in the workers costs more than one cheap statement over a
+    # few rings (measured on the benchmark's large-rings verify)
     if workers > 1 and len(instances) > 1 and set(statements) == set(StatementId):
         import concurrent.futures as cf
-        docs = [inst.to_json() for inst in instances]
+        docs = [(inst.to_json(), inst.index) for inst in instances]
         with cf.ProcessPoolExecutor(
                 max_workers=min(workers, len(instances)),
                 initializer=_worker_init, initargs=(docs, cfg)) as pool:
-            for _, batch in pool.map(_worker_run, range(len(instances))):
+            for batch in pool.map(_worker_run, range(len(instances))):
                 reports.extend(batch)
     else:
         for inst in instances:

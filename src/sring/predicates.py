@@ -293,10 +293,24 @@ def _exhaustive_vector_pairs(ring: FiniteRing, degree: int):
     For each left vector the solutions are enumerated by walking the
     convolution conditions in order; condition k pins coefficient b_k via
     a_0 * b_k = -(rest), so the walk only ever visits genuine prefixes.
+    At degree 1 the walk is a nested loop in the same order: a0, then its
+    annihilator list (read once), a1, b0 in that list, and b1 in the
+    solutions of a0*b1 = -(a1*b0) that also satisfy a1*b1 = 0.
     """
     size = ring.size
     add, mul, neg = ring.add, ring.mul, ring.neg
     solve = ring.solve_mul_all
+    if degree == 1:
+        zero = ring.zero
+        for a0 in range(size):
+            ann = solve(a0, zero)
+            for a1 in range(size):
+                a = (a0, a1)
+                for b0 in ann:
+                    for b1 in solve(a0, neg(mul(a1, b0))):
+                        if mul(a1, b1) == zero:
+                            yield a, (b0, b1)
+        return
     D = degree
     for a in itertools.product(range(size), repeat=D + 1):
         stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
@@ -326,8 +340,13 @@ def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int)
 
     The left vector is drawn uniformly; the right one is solved coefficient
     by coefficient choosing randomly among the solutions of each convolution
-    condition, with the zero vector as the always-valid fallback.
+    condition, with the zero vector as the always-valid fallback.  Degree 1
+    runs :func:`_sampled_degree1_pairs`: the same draws in the same order,
+    with each solution list read once where the carrier lists solutions.
     """
+    if degree == 1:
+        yield from _sampled_degree1_pairs(ring, seed, budget)
+        return
     rng = random.Random(seed)
     rnd = rng.random
     size = ring.size
@@ -384,6 +403,66 @@ def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int)
             b = zero_vec
         yield a, b
         emitted += 1
+
+
+def _sampled_degree1_pairs(ring: FiniteRing, seed: int, budget: int):
+    """The degree-1 stream of :func:`_sampled_vector_pairs`, draw for draw.
+
+    Per left vector (a0, a1) it makes up to 2 attempts: draw b0 with
+    a0*b0 = 0, then up to 3 draws of b1 with a0*b1 = -(a1*b0), keeping the
+    first with a1*b1 = 0; an empty solution list draws nothing and ends the
+    attempt, and (0, 0) is the fallback.  A carrier that lists solutions
+    reads the annihilator list of a0 once per left vector and the b1 list
+    once per b0 and draws from them with ``rng.random()`` as
+    ``solve_mul_random`` would; a larger carrier calls its random solver.
+    """
+    rng = random.Random(seed)
+    rnd = rng.random
+    size = ring.size
+    mul, neg = ring.mul, ring.neg
+    zero = ring.zero
+    zero_vec = (zero, zero)
+    if ring.lists_solutions:
+        solve = ring.solve_mul_all
+        for _ in range(budget):
+            a0 = int(rnd() * size)
+            a1 = int(rnd() * size)
+            # ann(a0) holds 0, so the b0 draw is never empty
+            ann = solve(a0, zero)
+            b = None
+            for _ in range(2):
+                b0 = ann[int(rnd() * len(ann))]
+                sols = solve(a0, neg(mul(a1, b0)))
+                if sols:
+                    for _ in range(3):
+                        b1 = sols[int(rnd() * len(sols))]
+                        if mul(a1, b1) == zero:
+                            b = (b0, b1)
+                            break
+                    if b is not None:
+                        break
+            yield (a0, a1), b or zero_vec
+        return
+    solve_random = ring.solve_mul_random
+    for _ in range(budget):
+        a0 = int(rnd() * size)
+        a1 = int(rnd() * size)
+        b = None
+        for _ in range(2):
+            b0 = solve_random(a0, zero, rng)
+            if b0 is None:
+                break
+            t = neg(mul(a1, b0))
+            for _ in range(3):
+                b1 = solve_random(a0, t, rng)
+                if b1 is None:
+                    break
+                if mul(a1, b1) == zero:
+                    b = (b0, b1)
+                    break
+            if b is not None:
+                break
+        yield (a0, a1), b or zero_vec
 
 
 def zero_product_poly_pairs(ring: FiniteRing, degree: int, *, mode: str = "auto",
@@ -506,7 +585,9 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     """Check s * a_i * b_j = 0 over zero-product pairs up to ``degree``.
 
     Factor order is preserved, so the check is meaningful on the
-    noncommutative triangular carrier as well.
+    noncommutative triangular carrier as well.  At degree 1 a genuine pair
+    has a0*b0 = a1*b1 = 0 and a0*b1 = -p for p = a1*b0, and s*(-p) = 0 iff
+    s*p = 0, so each pair costs one product and one kill-mask lookup.
     """
     resolved, src = _vector_pair_source(ring, degree, mode, seed, budget,
                                         exhaustive_budget)
@@ -534,18 +615,22 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     per_pair_ok = True
     per_pair_violation: ArmendarizViolation | None = None
     uniform_failed_after: int | None = None
+    one_product = degree == 1
     for a, b in src:
         pairs += 1
-        pm = full_mask
-        for ai in a:
-            if ai == 0:
-                continue
-            for bj in b:
-                if bj == 0:
+        if one_product:
+            pm = kill_mask(mul(a[1], b[0]))
+        else:
+            pm = full_mask
+            for ai in a:
+                if ai == 0:
                     continue
-                p = mul(ai, bj)
-                if p:
-                    pm &= kill_mask(p)
+                for bj in b:
+                    if bj == 0:
+                        continue
+                    p = mul(ai, bj)
+                    if p:
+                        pm &= kill_mask(p)
         if pm:
             w = members[(pm & -pm).bit_length() - 1]
             histogram[w] = histogram.get(w, 0) + 1

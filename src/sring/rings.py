@@ -179,7 +179,9 @@ class FiniteRing:
     slower.  A triangular carrier above ``OP_TABLE_LIMIT`` computes, and
     solves, digit by digit on its base's flat tables (see
     :class:`TriangularERing`).  No workload samples a large Z_n, product or
-    quotient carrier.
+    quotient carrier.  The degree-1 pair sampler reads the solution lists
+    of a carrier that ``lists_solutions`` itself, drawing from them as
+    ``solve_mul_random`` would, and calls ``solve_mul_random`` on the rest.
     """
 
     commutative = True
@@ -247,6 +249,12 @@ class FiniteRing:
             sols = self._solve_all(a, t)
             cache[key] = sols
         return sols
+
+    @property
+    def lists_solutions(self) -> bool:
+        """Whether ``solve_mul_all`` memoizes complete solution lists, from
+        which ``solve_mul_random`` then draws."""
+        return self._solutions_cache is not None
 
     def solve_mul_random(self, a: int, t: int, rng: random.Random) -> int | None:
         if self._solutions_cache is not None:

@@ -121,13 +121,14 @@ def test_e_ring_entry_gates_on_base_size(by_label):
 
 
 def test_catalog_worker_fanout_matches_serial(by_label):
-    instances = [by_label["z24-pow2"], by_label["z4-s3"], by_label["z5-unit"]]
-    for i, inst in enumerate(instances):
-        inst.index = i
+    # a subset keeps its corpus indices, which are not list positions
+    instances = [by_label["z4-s3"], by_label["z5-unit"], by_label["z24-pow2"]]
     cfg = VerifyConfig(budget=2000)
     serial = [r.to_json() for r in run_catalog(instances, cfg, workers=1)]
     fanned = [r.to_json() for r in run_catalog(instances, cfg, workers=2)]
     assert serial == fanned
+    assert {r["instance_index"] for r in fanned} == {inst.index for inst in instances}
+    assert {inst.index for inst in instances} != {0, 1, 2}
 
 
 def test_search_full_finds_nothing_on_sound_statement():
