@@ -35,6 +35,10 @@ CASES = [("spectrum", "z288_s22")] + [
     for command in ("localize", "check s-integral-domain", "check s-pf",
                     "check s-strongly-hopfian")
 ] + [
+    # Z288, S = <22>: 129 elements have k below the chain's stabilization,
+    # so the Hopfian witness search does not stop at its first index
+    (command, "z288_s22") for command in ("check s-pf", "check s-strongly-hopfian")
+] + [
     # Z24(+)Z24 (576 elements, above the operation-table limit), S = <(5, (0))>
     ("check u-s-armendariz --max-degree 1 --budget 3000 --seed 5",
      "z24_idealization_s5"),
