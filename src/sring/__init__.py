@@ -48,7 +48,6 @@ from .predicates import (
     ArmendarizVerdict,
     LocalizationResult,
     SReducedCertificate,
-    annihilator,
     is_reduced,
     is_s_integral_domain,
     is_s_pf,

@@ -141,9 +141,9 @@ def _cmd_check(args) -> int:
                       "pairs_checked")}
         mode = doc["mode"]
     elif name == "reduced":
-        verdict = is_reduced(ring)
-        witnesses = {"nonzero_nilpotents":
-                     [_lit(ring, a) for a in sorted(nilpotent_profile(ring)) if a]}
+        nonzero = [a for a in sorted(nilpotent_profile(ring)) if a]
+        verdict = not nonzero
+        witnesses = {"nonzero_nilpotents": [_lit(ring, a) for a in nonzero]}
     else:  # pragma: no cover - argparse rejects unknown names first
         raise SRingError(f"unknown property {name!r}")
     _emit({"manifest": manifest, "predicate": name, "verdict": verdict,

@@ -46,7 +46,7 @@ from .ideals import (
     spectrum_intersection,
 )
 from .predicates import (
-    annihilator_chain,
+    annihilator_chains,
     is_reduced,
     is_s_zero_ideal,
     is_s_integral_domain,
@@ -690,8 +690,7 @@ def _s_reduced_implies_hopfian(ctx: InstanceContext):
     ring, S = ctx.ring, ctx.S
     violations = []
     max_k = 0
-    for a in range(ring.size):
-        anns = annihilator_chain(ring, a)
+    for a, anns in enumerate(annihilator_chains(ring)):
         for n in range(len(anns) - 1):
             upper, lower = mask_elements(anns[n + 1]), anns[n]
             s = S.witness(upper, lower)

@@ -106,6 +106,19 @@ class MultiplicativeSet:
                 return s
         return None
 
+    def least_multipliers(self, x: int) -> dict[int, int]:
+        """Map each value s*x, s a member, to the least member s giving it.
+
+        One pass over the members: the least s with s*x = t is the map's
+        entry at t, the same s :meth:`witness` finds for ``(x,)`` into
+        ``1 << t``.
+        """
+        mul = self.ring.mul
+        least: dict[int, int] = {}
+        for s in self.members:
+            least.setdefault(mul(s, x), s)
+        return least
+
     def __repr__(self) -> str:
         return f"<MultSet {{{','.join(map(str, self.members))}}} of {self.ring.label}>"
 

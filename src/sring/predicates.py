@@ -2,11 +2,12 @@
 
 Every verdict carries explicit witnesses chosen at the least canonical
 index, so repeated runs print identical reports.  A witness that some s in
-S carries a set X into an ideal I (s*a = 0, s*a = a*b, s*ann(a**n) inside
-ann(a**k)) is the least one :meth:`MultiplicativeSet.witness` finds; the
-S-integral-domain and zero-product witnesses quantify differently (sa = 0
-or sb = 0; every killer of every coefficient product) and keep their own
-searches.  When the multiplicative set contains zero every predicate
+S carries a set X into an ideal I (s*a = 0, s*ann(a**n) inside ann(a**k))
+is the least one :meth:`MultiplicativeSet.witness` finds; a purity witness
+(s*a = a*b) is the least s that :meth:`MultiplicativeSet.least_multipliers`
+maps a*b to.  The S-integral-domain and zero-product witnesses quantify
+differently (sa = 0 or sb = 0; every killer of every coefficient product)
+and keep their own searches.  When the multiplicative set contains zero every predicate
 short-circuits to the trivial verdict with witness 0 and the certificate is
 watermarked degenerate.
 
@@ -41,22 +42,28 @@ def annihilator_mask(ring: FiniteRing, a: int) -> int:
     return mask
 
 
-def annihilator(ring: FiniteRing, a: int) -> Ideal:
-    return ideal_from_mask(ring, annihilator_mask(ring, a))
+def annihilator_chains(ring: FiniteRing) -> list[tuple[int, ...]]:
+    """Per element a, the masks of ann(a) <= ann(a**2) <= ..., in index order.
 
-
-def annihilator_chain(ring: FiniteRing, a: int) -> list[int]:
-    """Masks of ann(a) <= ann(a**2) <= ..., up to the first repeated power.
-
-    The chain only grows, and from a power equal to 0 or to an earlier power
-    on it is constant, so the last mask is the value it stabilizes at.
+    Each chain runs up to the first repeated power: the chain only grows, and
+    from a power equal to 0 or to an earlier power on it is constant, so its
+    last mask is the value it stabilizes at.  Elements share powers, so the
+    annihilator of each distinct power is computed once per call.
     """
-    anns = []
-    for p in power_cycle(ring, a):
-        anns.append(annihilator_mask(ring, p))
-        if p == ring.zero:
-            break
-    return anns
+    zero = ring.zero
+    masks: dict[int, int] = {}
+    chains = []
+    for a in range(ring.size):
+        anns = []
+        for p in power_cycle(ring, a):
+            m = masks.get(p)
+            if m is None:
+                m = masks[p] = annihilator_mask(ring, p)
+            anns.append(m)
+            if p == zero:
+                break
+        chains.append(tuple(anns))
+    return chains
 
 
 def is_reduced(ring: FiniteRing) -> bool:
@@ -208,20 +215,25 @@ class SPureResult:
 
 
 def is_s_pure(S: MultiplicativeSet, I: Ideal) -> SPureResult:
-    """Each a in I needs b in I and s in S with s*a = a*b."""
-    ring = I.ring
+    """Each a in I needs b in I and s in S with s*a = a*b.
+
+    The witness of a is the first b in I, in index order, that some s
+    serves, with the least such s; one pass over S maps each value s*a to
+    its least s (:meth:`MultiplicativeSet.least_multipliers`), and the walk
+    over I stops at the first b whose a*b is in that map.
+    """
+    mul = I.ring.mul
     witnesses: dict[int, tuple[int, int]] = {}
     elems = I.elements
     for a in elems:
-        found = None
+        least = S.least_multipliers(a)
         for b in elems:
-            hit = S.witness((a,), 1 << ring.mul(a, b))
-            if hit is not None:
-                found = (b, hit)
+            s = least.get(mul(a, b))
+            if s is not None:
+                witnesses[a] = (b, s)
                 break
-        if found is None:
+        else:
             return SPureResult(False, witnesses, a)
-        witnesses[a] = found
     return SPureResult(True, witnesses, None)
 
 
@@ -234,13 +246,23 @@ class SPFResult:
 
 
 def is_s_pf(ring: FiniteRing, S: MultiplicativeSet) -> SPFResult:
-    """Every annihilator (0 : a) must be an S-pure ideal."""
+    """Every annihilator (0 : a) must be an S-pure ideal.
+
+    Elements are walked in index order and each distinct annihilator is
+    checked once, so ``failing`` is the least a whose annihilator is not
+    S-pure.
+    """
     require_commutative(ring, "this predicate")
+    pure: set[int] = set()
     for a in range(ring.size):
-        ann = annihilator(ring, a)
+        mask = annihilator_mask(ring, a)
+        if mask in pure:
+            continue
+        ann = ideal_from_mask(ring, mask)
         res = is_s_pure(S, ann)
         if not res.verdict:
             return SPFResult(False, a, ann, res)
+        pure.add(mask)
     return SPFResult(True, None, None, None)
 
 
@@ -265,21 +287,31 @@ class HopfianEntry:
 
 def s_strongly_hopfian_profile(ring: FiniteRing,
                                S: MultiplicativeSet) -> dict[int, HopfianEntry]:
+    """The Hopfian entry of every element, from :func:`annihilator_chains`.
+
+    ``k`` and ``s`` depend only on the chain up to its stabilization, which
+    also fixes the top annihilator, so the (k, s) search runs once per
+    distinct such chain.
+    """
     require_commutative(ring, "this predicate")
     profile: dict[int, HopfianEntry] = {}
-    for a in range(ring.size):
-        anns = annihilator_chain(ring, a)
+    searched: dict[tuple[int, ...], tuple[int, int]] = {}
+    for a, anns in enumerate(annihilator_chains(ring)):
         top = anns[-1]
-        top_elements = mask_elements(top)
-        stabilization = next(i + 1 for i, m in enumerate(anns) if m == top)
-        # at k = stabilization the target is the top annihilator, an ideal,
-        # so every member passes and the walk always stops
-        for k in range(1, stabilization + 1):
-            s = S.witness(top_elements, anns[k - 1])
-            if s is not None:
-                break
-        profile[a] = HopfianEntry(k, s, stabilization,
-                                  tuple(m.bit_count() for m in anns))
+        stabilization = anns.index(top) + 1
+        chain = anns[:stabilization]
+        hit = searched.get(chain)
+        if hit is None:
+            top_elements = mask_elements(top)
+            # at k = stabilization the target is the top annihilator, an
+            # ideal, so every member passes and the walk always stops
+            for k in range(1, stabilization + 1):
+                s = S.witness(top_elements, anns[k - 1])
+                if s is not None:
+                    break
+            hit = searched[chain] = (k, s)
+        profile[a] = HopfianEntry(*hit, stabilization,
+                                  tuple(map(int.bit_count, anns)))
     return profile
 
 
@@ -585,9 +617,12 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     """Check s * a_i * b_j = 0 over zero-product pairs up to ``degree``.
 
     Factor order is preserved, so the check is meaningful on the
-    noncommutative triangular carrier as well.  At degree 1 a genuine pair
-    has a0*b0 = a1*b1 = 0 and a0*b1 = -p for p = a1*b0, and s*(-p) = 0 iff
-    s*p = 0, so each pair costs one product and one kill-mask lookup.
+    noncommutative triangular carrier as well.  On a genuine pair each
+    antidiagonal sum of a_i*b_j over i + j = m is 0, and exactly one of its
+    terms has i = 0 or j = degree: that term is minus the sum of the others.
+    So s kills every a_i*b_j iff it kills those with 1 <= i <= degree and
+    0 <= j < degree, and a pair costs degree**2 products and kill-mask
+    lookups (at degree 1 the one product a1*b0).
     """
     resolved, src = _vector_pair_source(ring, degree, mode, seed, budget,
                                         exhaustive_budget)
@@ -615,22 +650,12 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     per_pair_ok = True
     per_pair_violation: ArmendarizViolation | None = None
     uniform_failed_after: int | None = None
-    one_product = degree == 1
+    terms = [(i, j) for i in range(1, degree + 1) for j in range(degree)]
     for a, b in src:
         pairs += 1
-        if one_product:
-            pm = kill_mask(mul(a[1], b[0]))
-        else:
-            pm = full_mask
-            for ai in a:
-                if ai == 0:
-                    continue
-                for bj in b:
-                    if bj == 0:
-                        continue
-                    p = mul(ai, bj)
-                    if p:
-                        pm &= kill_mask(p)
+        pm = full_mask
+        for i, j in terms:
+            pm &= kill_mask(mul(a[i], b[j]))
         if pm:
             w = members[(pm & -pm).bit_length() - 1]
             histogram[w] = histogram.get(w, 0) + 1

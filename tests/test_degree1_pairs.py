@@ -2,9 +2,10 @@
 
 The references are the generic coefficient-by-coefficient sampler and the
 stack walk over the convolution conditions, copied here as they run at
-degree >= 2, and the four-product kill mask of a pair.  The degree-1 code
-reads solution lists once and checks one product per pair; it must give
-the same pairs in the same order and the same masks.
+degree >= 2, and the kill mask of all coefficient products of a pair.  The
+degree-1 code reads solution lists once; it must give the same pairs in the
+same order.  The verdict checks degree**2 products per pair (one at degree
+1); they must give the same masks.
 """
 
 import itertools
@@ -163,27 +164,54 @@ ORACLE_RINGS = {
     "Z4(+)Z4": Idealization(ZMod(4), ModuleSpec(((0,),))),
     "Z12(+)Z12": Idealization(ZMod(12), ModuleSpec(((0,),))),
 }
+# Z8 is Armendariz, so every coefficient product of its pairs is 0, but it
+# is small enough for an exhaustive walk at degree 3; the other three give
+# nonzero products, E(Z4) on a noncommutative carrier
+KILL_MASK_RINGS = {
+    "Z4(+)Z4": ORACLE_RINGS["Z4(+)Z4"],
+    "Z12(+)Z12": ORACLE_RINGS["Z12(+)Z12"],
+    "Z8": ZMod(8),
+    "E(Z4)": TriangularE(ZMod(4)),
+}
 
 
-@pytest.mark.parametrize("name", list(ORACLE_RINGS))
-def test_one_product_kill_mask_equals_four_product_mask(name):
-    ring = build_ring(ORACLE_RINGS[name])
-    kill = _kill_masks(ring)
-    mul = ring.mul
-    streams = [_exhaustive_vector_pairs(ring, 1)]
-    streams += [_sampled_vector_pairs(ring, 1, seed, 2000) for seed in (1, 2, 3)]
-    checked = 0
-    for a, b in itertools.chain(*streams):
-        four = kill(mul(a[0], b[0])) & kill(mul(a[0], b[1])) \
-            & kill(mul(a[1], b[0])) & kill(mul(a[1], b[1]))
-        assert kill(mul(a[1], b[0])) == four, (a, b)
-        checked += 1
-    assert checked > 6000
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_one_product_kill_mask_equals_four_product_mask(degree):
+    """On a genuine pair of degree D, the kill mask of the D**2 products
+    a_i*b_j with 1 <= i <= D and 0 <= j < D equals that of all (D+1)**2.
+
+    Streams: three seeded samples per ring, and the exhaustive walk where
+    it has at most 144**2 left vectors (at degree 3 only on Z8)."""
+    coefficients = range(degree + 1)
+    informative = set()
+    for name, expr in KILL_MASK_RINGS.items():
+        ring = build_ring(expr)
+        kill = _kill_masks(ring)
+        mul = ring.mul
+        streams = [_sampled_vector_pairs(ring, degree, seed, 2000)
+                   for seed in (1, 2, 3)]
+        if ring.size ** (degree + 1) <= 144 ** 2:
+            streams.append(_exhaustive_vector_pairs(ring, degree))
+        checked = 0
+        for a, b in itertools.chain(*streams):
+            every = some = kill(0)
+            for i in coefficients:
+                for j in coefficients:
+                    m = kill(mul(a[i], b[j]))
+                    every &= m
+                    if i >= 1 and j < degree:
+                        some &= m
+            assert some == every, (name, a, b)
+            checked += 1
+            if every != kill(0):
+                informative.add(name)
+        assert checked >= 6000, name
+    assert informative == {"Z4(+)Z4", "Z12(+)Z12", "E(Z4)"}
 
 
 def naive_verdict(ring, members, pairs):
     """(uniform witness, histogram, uniform_failed_after, per_pair_ok) from
-    all four coefficient products of every pair."""
+    all coefficient products of every pair."""
     uniform = set(members)
     histogram = {}
     failed_after = None
@@ -204,22 +232,26 @@ def naive_verdict(ring, members, pairs):
     return witness, histogram, failed_after, per_pair_ok
 
 
-# (mode, ring, literals generating S); the four-product rescan of every
-# Z12(+)Z12 pair is too slow for tier-1, so that ring is sampled only
-@pytest.mark.parametrize("mode,name,gens", [
-    ("exhaustive", "E(Z2)", ()),
-    ("exhaustive", "Z4(+)Z4", ()),
-    ("sampled", "E(Z2)", ()),
-    ("sampled", "Z4(+)Z4", ()),
-    ("sampled", "Z12(+)Z12", ((4, (0,)),)),
-    ("sampled", "Z12(+)Z12", ((9, (0,)),)),
+# (degree, mode, ring, literals generating S); the all-products rescan of
+# every Z12(+)Z12 pair is too slow for tier-1, so that ring is sampled only
+@pytest.mark.parametrize("degree,mode,name,gens", [
+    (1, "exhaustive", "E(Z2)", ()),
+    (1, "exhaustive", "Z4(+)Z4", ()),
+    (1, "sampled", "E(Z2)", ()),
+    (1, "sampled", "Z4(+)Z4", ()),
+    (1, "sampled", "Z12(+)Z12", ((4, (0,)),)),
+    (1, "sampled", "Z12(+)Z12", ((9, (0,)),)),
+    (2, "sampled", "Z4(+)Z4", ((3, (0,)),)),
+    (2, "sampled", "Z12(+)Z12", ((4, (0,)),)),
+    (3, "sampled", "Z12(+)Z12", ((9, (0,)),)),
 ])
-def test_one_product_verdict_matches_four_product_verdict(mode, name, gens):
+def test_one_product_verdict_matches_four_product_verdict(degree, mode, name, gens):
     ring = build_ring(ORACLE_RINGS[name])
     S = mult_closure(ring, (ring.one, *(ring.encode(g) for g in gens)))
-    verdict = is_u_s_armendariz_up_to(ring, S, 1, mode=mode, seed=7, budget=3000)
-    pairs = (_exhaustive_vector_pairs(ring, 1) if mode == "exhaustive"
-             else _sampled_vector_pairs(ring, 1, 7, 3000))
+    verdict = is_u_s_armendariz_up_to(ring, S, degree, mode=mode, seed=7,
+                                      budget=3000)
+    pairs = (_exhaustive_vector_pairs(ring, degree) if mode == "exhaustive"
+             else _sampled_vector_pairs(ring, degree, 7, 3000))
     witness, histogram, failed_after, per_pair_ok = naive_verdict(
         ring, list(S.members), pairs)
     assert verdict.uniform_witness == witness

@@ -19,8 +19,8 @@ from sring import (
     mult_closure,
     s_strongly_hopfian_profile,
 )
-from sring.ideals import zero_ideal
-from sring.predicates import annihilator, annihilator_mask
+from sring.ideals import ideal_from_mask, zero_ideal
+from sring.predicates import annihilator_mask
 
 
 def test_s_reduced_z24(z24, s24):
@@ -126,7 +126,7 @@ def test_localize_degenerate():
 def test_s_pure():
     z4 = build_ring(ZMod(4))
     s4 = mult_closure(z4, (3,))
-    ann2 = annihilator(z4, 2)
+    ann2 = ideal_from_mask(z4, annihilator_mask(z4, 2))
     assert ann2.elements == (0, 2)
     res = is_s_pure(s4, ann2)
     assert not res.verdict and res.failing == 2
