@@ -32,8 +32,17 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [("spectrum", "z288_s22")] + [
     (command, ring)
     for ring in ("z720_s2", "z16xz16_s6_11")
+    # neither ring is S-reduced: these pin ``failing`` and the witness map
+    # cut off at it
     for command in ("localize", "check s-integral-domain", "check s-pf",
-                    "check s-strongly-hopfian")
+                    "check s-strongly-hopfian", "check s-reduced",
+                    "check u-s-reduced")
+] + [
+    # Z16xZ17 (272 elements, above the solution cache), S = <(0, 3)>:
+    # S-reduced, u-S-reduced and an S-integral domain, each with witness (0, 1)
+    (command, "z16xz17_s0_3")
+    for command in ("localize", "check s-reduced", "check u-s-reduced",
+                    "check s-integral-domain")
 ] + [
     # Z288, S = <22>: 129 elements have k below the chain's stabilization,
     # so the Hopfian witness search does not stop at its first index

@@ -1,12 +1,15 @@
-"""Hopfian, S-pure and S-PF witnesses against brute force, for minimality.
+"""Hopfian, S-pure, S-PF, S-reduced and S-integral-domain witnesses and the
+localization kernel against brute force, for minimality.
 
 The predicates return the least witness their definitions allow: the least
 Hopfian index k and the least member s for it, the first b of an ideal and
-then the least s with s*a = a*b, and the least element whose annihilator is
-not S-pure.  A valid but larger witness would change every report that
-prints it, so each is compared with a plain scan over the definition:
-annihilators by scanning every element, every n >= k of the chain, every b
-and every s in index order.
+then the least s with s*a = a*b, the least element whose annihilator is
+not S-pure, the least killer of each nilpotent and of all of them, the
+least nilpotent no member kills, and the least s serving every zero-product
+pair.  A valid but larger witness would change every report that prints it,
+so each is compared with a plain scan over the definition: annihilators and
+nilpotents by scanning every element, every n >= k of the chain, every b,
+every pair and every s in index order.
 """
 
 import pytest
@@ -18,8 +21,11 @@ from sring import (
     ZMod,
     build_ring,
     enumerate_ideals,
+    is_s_integral_domain,
     is_s_pf,
     is_s_pure,
+    is_s_reduced,
+    localize,
     mult_closure,
     s_strongly_hopfian_profile,
 )
@@ -171,3 +177,76 @@ def test_cases_reach_past_the_first_candidate():
     assert k_late and k_early and s_late and pf_fail
     z330, S = instance("Z330", ())
     assert z330.size > 256 and is_s_pf(z330, S).verdict
+
+
+def brute_nilpotents(ring):
+    """Elements with a power equal to 0, in index order."""
+    nil = []
+    for a in range(ring.size):
+        seen, p = set(), a
+        while p not in seen:
+            seen.add(p)
+            p = ring.mul(p, a)
+        if ring.zero in seen:
+            nil.append(a)
+    return nil
+
+
+def brute_killer(ring, members, xs):
+    """Least s with s*x = 0 for every x in ``xs``, or None."""
+    return next((s for s in members
+                 if all(ring.mul(s, x) == ring.zero for x in xs)), None)
+
+
+@pytest.mark.parametrize("name,gens", PARAMS)
+def test_s_reduced_witnesses_are_least(name, gens):
+    ring, S = instance(name, gens)
+    nil = brute_nilpotents(ring)
+    witnesses = {}
+    failing = None
+    for a in nil:
+        s = brute_killer(ring, S.members, (a,))
+        if s is None:
+            failing = a
+            break
+        witnesses[a] = s
+    uniform = None if failing is not None else brute_killer(ring, S.members, nil)
+    cert = is_s_reduced(ring, S)
+    assert (cert.verdict, cert.witnesses, cert.uniform_witness, cert.failing) == \
+        (failing is None, witnesses, uniform, failing), (name, gens)
+
+
+@pytest.mark.parametrize("name,gens", PARAMS)
+def test_s_integral_domain_witness_is_least(name, gens):
+    ring, S = instance(name, gens)
+    pairs = [(a, b) for a in range(ring.size) for b in range(ring.size)
+             if ring.mul(a, b) == ring.zero]
+    expected = next((s for s in S.members
+                     if all(ring.mul(s, a) == ring.zero or ring.mul(s, b) == ring.zero
+                            for a, b in pairs)), None)
+    assert is_s_integral_domain(ring, S) == expected, (name, gens)
+
+
+@pytest.mark.parametrize("name,gens", PARAMS)
+def test_localize_kernel_is_the_s_torsion(name, gens):
+    ring, S = instance(name, gens)
+    torsion = tuple(x for x in range(ring.size)
+                    if brute_killer(ring, S.members, (x,)) is not None)
+    assert localize(ring, S).torsion_kernel.elements == torsion, (name, gens)
+
+
+def test_s_reduced_cases_reach_past_the_first_candidate():
+    """The S-reduced and S-integral-domain cases include a failing nilpotent
+    past 0, a killer other than 1, a uniform witness, and both
+    S-integral-domain verdicts."""
+    fail_late = s_late = uniform = domain = not_domain = False
+    for name, gens in ((p.values[0], p.values[1]) for p in PARAMS):
+        ring, S = instance(name, gens)
+        cert = is_s_reduced(ring, S)
+        fail_late |= not cert.verdict and cert.failing > 0
+        s_late |= any(s != ring.one for s in cert.witnesses.values())
+        uniform |= cert.uniform_witness is not None
+        d = is_s_integral_domain(ring, S)
+        domain |= d is not None
+        not_domain |= d is None
+    assert fail_late and s_late and uniform and domain and not_domain
