@@ -32,7 +32,6 @@ from .ideals import (
     Ideal,
     MultiplicativeSet,
     SPrimeWitness,
-    colon,
     colon_elem,
     enumerate_ideals,
     ideal_generated,

@@ -489,7 +489,7 @@ def _spectrum_s_zero(ctx: InstanceContext):
     witnesses = {}
     missing = []
     for x in inter.elements:
-        s = ctx.S.witness((x,))
+        s = ctx.S.least(ctx.S.killers[x])
         if s is None:
             missing.append(ctx.lit(x))
         else:
@@ -523,8 +523,8 @@ def _nils_in_colon(ctx: InstanceContext):
 
 @_statement(StatementId.NILS_S_ZERO, _s_reduced)
 def _nils_s_zero(ctx: InstanceContext):
-    missing = [ctx.lit(a) for a in ctx.nil_s.ideal.elements
-               if ctx.S.witness((a,)) is None]
+    killers = ctx.S.killers
+    missing = [ctx.lit(a) for a in ctx.nil_s.ideal.elements if not killers[a]]
     return not missing, {"nil_s": ctx.lits(ctx.nil_s.ideal.elements),
                          "unwitnessed": missing}
 
@@ -626,8 +626,12 @@ def _poly_transfer(ctx: InstanceContext):
         mode = "sampled"
     poly_ok = True
     violating = None
+    killers = ctx.S.killers
     for vec in vectors:
-        if ctx.S.witness(vec) is None:
+        common = killers[ctx.ring.zero]
+        for c in vec:
+            common &= killers[c]
+        if not common:
             poly_ok = False
             violating = [ctx.lit(c) for c in vec]
             break
@@ -733,8 +737,9 @@ def _structure_data(ctx: InstanceContext) -> dict:
                 "prime": P, "quotient": q,
                 "domain": sbar is not None and is_s_integral_domain(q, sbar) is not None,
                 "surjective": len({q.project(r) for r in range(ring.size)}) == q.size})
+        S = ctx.S
         torsion_witnesses = {
-            x: ctx.S.witness((x,)) for x in mask_elements(kernel)}
+            x: S.least(S.killers[x]) for x in mask_elements(kernel)}
         return {"kernel": kernel, "quotients": quotient_info,
                 "torsion": torsion_witnesses}
     return ctx._memo("structure", compute)
@@ -793,7 +798,7 @@ def _structure_converse(ctx: InstanceContext):
             violations.append({"reason": "no member maps the nilpotent into the kernel",
                                "a": ctx.lit(a)})
             continue
-        u = S.witness((ring.mul(s_star, a),))
+        u = S.least(S.killers[ring.mul(s_star, a)])
         if u is None:
             violations.append({"reason": "kernel element escaped S-torsion",
                                "a": ctx.lit(a)})

@@ -70,8 +70,9 @@ class Ideal:
 class MultiplicativeSet:
     """Multiplicatively closed subset containing 1; zero only by explicit flag.
 
-    ``members``, in ascending index order, is decoded from the mask on first
-    access and kept; it is not a field, so equality and hashing do not see it.
+    ``members``, in ascending index order, and :attr:`killers` are computed
+    on first access and kept; neither is a field, so equality and hashing do
+    not see them.
     """
 
     ring: FiniteRing
@@ -90,12 +91,31 @@ class MultiplicativeSet:
     def __contains__(self, x: int) -> bool:
         return bool((self.mask >> x) & 1)
 
-    def witness(self, xs, into: int = 1) -> int | None:
+    @cached_property
+    def killers(self) -> list[int]:
+        """Per element x, the bitmask over ``members`` (bit i for
+        ``members[i]``) of the s with s*x = 0, in that order, read off each
+        member's solution list; ``killers[zero]`` holds every member.
+        """
+        ring = self.ring
+        killers = [0] * ring.size
+        for i, s in enumerate(self.members):
+            bit = 1 << i
+            for x in ring.solve_mul_all(s, ring.zero):
+                killers[x] |= bit
+        return killers
+
+    def least(self, mask: int) -> int | None:
+        """The least member in a bitmask over ``members``; None when it is 0."""
+        return self.members[(mask & -mask).bit_length() - 1] if mask else None
+
+    def witness(self, xs, into: int) -> int | None:
         """Least member s, in index order, with s*x in ``into`` for every x in ``xs``.
 
-        ``into`` is a membership bitmask, by default the zero ideal, and the
-        product keeps the order s*x.  None when no member carries all of
-        ``xs`` into it.  ``xs`` is walked once per member tried.
+        ``into`` is a membership bitmask (into the zero ideal, read
+        :attr:`killers`) and the product keeps the order s*x.  None when no
+        member carries all of ``xs`` into it.  ``xs`` is walked once per
+        member tried.
         """
         mul = self.ring.mul
         for s in self.members:
@@ -227,17 +247,6 @@ def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[
                 if is_new(J):
                     worklist.append(J)
     return sorted(by_mask.values(), key=Ideal.sort_key)
-
-
-def colon(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) = elements r with r*J contained in I."""
-    ring = I.ring
-    mask = 0
-    jelems = J.elements
-    for r in range(ring.size):
-        if all((I.mask >> ring.mul(r, j)) & 1 for j in jelems):
-            mask |= 1 << r
-    return Ideal(ring, mask, ())
 
 
 def colon_elem(I: Ideal, x: int) -> Ideal:

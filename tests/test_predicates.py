@@ -81,9 +81,9 @@ def test_s_integral_domain_z12_settled_by_oracle(z12, s12):
 
 
 def test_s_zero(z24, s24):
-    assert s24.witness((3,)) == 8
-    assert s24.witness((0,)) == 1
-    assert s24.witness((1,)) is None
+    assert s24.witness((3,), 1) == 8
+    assert s24.witness((0,), 1) == 1
+    assert s24.witness((1,), 1) is None
     res = is_s_zero_ideal(s24, ideal_generated(z24, (3,)))
     assert res.verdict
     for a, s in res.witnesses.items():
