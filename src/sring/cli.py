@@ -91,17 +91,12 @@ def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _load_instance(path: str, cap: int):
-    ring, S = parse_ring_file(path, size_cap=cap)
-    return ring, S
-
-
 def _lit(ring, x):
     return thaw_literal(ring.decode(x))
 
 
 def _cmd_check(args) -> int:
-    ring, S = _load_instance(args.input, args.cap)
+    ring, S = parse_ring_file(args.input, size_cap=args.cap)
     manifest = _manifest(args.seed,
                          {"ring_size": args.cap, "budget": args.budget,
                           "max_degree": args.max_degree},
@@ -152,7 +147,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    ring, S = _load_instance(args.input, args.cap)
+    ring, S = parse_ring_file(args.input, size_cap=args.cap)
     spectrum = s_spectrum(ring, S, cap=args.ideal_cap)
     entries = [
         {"ideal": [_lit(ring, x) for x in I.elements],
@@ -172,7 +167,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    ring, S = _load_instance(args.input, args.cap)
+    ring, S = parse_ring_file(args.input, size_cap=args.cap)
     loc = localize(ring, S)
     _emit({
         "manifest": _manifest(args.seed, {"ring_size": args.cap},
@@ -188,7 +183,7 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    ring, S = _load_instance(args.input, args.cap)
+    ring, S = parse_ring_file(args.input, size_cap=args.cap)
     nil = nilpotent_profile(ring)
     _emit({
         "manifest": _manifest(args.seed, {"ring_size": args.cap},

@@ -17,10 +17,6 @@ class ZeroInClosureError(SRingError):
     """The multiplicative closure of the given generators contains zero."""
 
 
-class DegreeOverflowError(SRingError):
-    """A polynomial operation would exceed the configured degree bound."""
-
-
 class BudgetExceededError(SRingError):
     """An enumeration or search exceeded its configured budget."""
 

@@ -30,7 +30,6 @@ from .ideals import (
     MultiplicativeSet,
     dominant_colon_witness,
     enumerate_ideals,
-    ideal_from_mask,
     ideal_intersection,
     ideal_product,
     ideal_sum,
@@ -339,8 +338,7 @@ class InstanceContext:
 
     def quotient(self, I: Ideal) -> QuotientRing:
         key = ("quotient", I.mask)
-        return self._memo(key, lambda: QuotientRing(self.ring, I.mask,
-                                                    gens_idx=tuple(I.gens)))
+        return self._memo(key, lambda: QuotientRing(self.ring, I.mask))
 
     def projected_set(self, q: QuotientRing) -> MultiplicativeSet | None:
         """Image of S in the quotient; None when it degenerates to contain 0."""
@@ -832,7 +830,7 @@ def _nil_nilpotent(ctx: InstanceContext):
     ring, nil_mask = ctx.ring, ctx.nil_mask
     if not is_ideal_mask(ring, nil_mask):
         return False, {"reason": "nilradical is not an ideal"}
-    N = ideal_from_mask(ring, nil_mask)
+    N = Ideal(ring, nil_mask)
     power = N
     k = 1
     seen = {power.mask}
@@ -895,15 +893,20 @@ def _worker_init(instance_docs, cfg):
     _WORKER_STATE["cfg"] = cfg
 
 
+def _check_instance(instance: CorpusInstance, cfg: VerifyConfig,
+                    statements) -> list[StatementReport]:
+    """Reports for ``statements`` on one instance, sharing one context."""
+    ctx = InstanceContext(instance, cfg)
+    return [check_statement(stmt, instance, cfg, ctx) for stmt in statements]
+
+
 def _worker_run(position: int) -> list[StatementReport]:
     """Reports for the instance at ``position`` of the fanned-out list,
     numbered with that instance's own index."""
     doc, index = _WORKER_STATE["docs"][position]
-    cfg = _WORKER_STATE["cfg"]
     ring, S = parse_ring_data({k: doc[k] for k in ("ring", "mult_set")})
     instance = CorpusInstance(doc["label"], "worker", ring, S, index)
-    ctx = InstanceContext(instance, cfg)
-    return [check_statement(stmt, instance, cfg, ctx) for stmt in StatementId]
+    return _check_instance(instance, _WORKER_STATE["cfg"], StatementId)
 
 
 def default_workers() -> int:
@@ -947,9 +950,7 @@ def run_catalog(instances: list[CorpusInstance], cfg: VerifyConfig | None = None
                 reports.extend(batch)
     else:
         for inst in instances:
-            ctx = InstanceContext(inst, cfg)
-            for stmt in statements:
-                reports.append(check_statement(stmt, inst, cfg, ctx))
+            reports.extend(_check_instance(inst, cfg, statements))
     reports.sort(key=lambda r: (_STATEMENT_ORDER[r.statement], r.instance_index))
     return reports
 

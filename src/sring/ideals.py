@@ -1,8 +1,8 @@
 """Ideals of a finite commutative ring and the S-prime machinery.
 
-Ideals are stored as membership bitmasks over element indices plus the
-generators they were built from.  All set-valued outputs are ordered by
-canonical element index so reports are reproducible byte for byte.
+An ideal is its membership bitmask over element indices.  All set-valued
+outputs are ordered by canonical element index so reports are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ class Ideal:
 
     ``elements``, the members in ascending index order, is decoded from the
     mask on first access and kept; it is not a field, so equality and
-    hashing see only ``ring``, ``mask`` and ``gens``.
+    hashing see only ``ring`` and ``mask``: two ideals with the same members
+    are equal however they were built.
     """
 
     ring: FiniteRing
     mask: int
-    gens: tuple[int, ...] = ()
 
     @cached_property
     def elements(self) -> tuple[int, ...]:
@@ -62,13 +62,13 @@ class Ideal:
         return (self.size, self.elements)
 
     def __repr__(self) -> str:
-        gens = ",".join(str(g) for g in self.gens)
-        return f"<Ideal ({gens}) of {self.ring.label}, {self.size} elements>"
+        return f"<Ideal {{{','.join(map(str, self.elements))}}} of {self.ring.label}>"
 
 
 @dataclass(frozen=True)
 class MultiplicativeSet:
-    """Multiplicatively closed subset containing 1; zero only by explicit flag.
+    """Multiplicatively closed subset containing 1, closed from ``gens``;
+    it holds zero only when :func:`mult_closure` was told to allow it.
 
     ``members``, in ascending index order, and :attr:`killers` are computed
     on first access and kept; neither is a field, so equality and hashing do
@@ -78,7 +78,6 @@ class MultiplicativeSet:
     ring: FiniteRing
     mask: int
     gens: tuple[int, ...]
-    allow_zero: bool = False
 
     @cached_property
     def members(self) -> tuple[int, ...]:
@@ -91,19 +90,27 @@ class MultiplicativeSet:
     def __contains__(self, x: int) -> bool:
         return bool((self.mask >> x) & 1)
 
-    @cached_property
-    def killers(self) -> list[int]:
+    def carriers(self, into: int) -> list[int]:
         """Per element x, the bitmask over ``members`` (bit i for
-        ``members[i]``) of the s with s*x = 0, in that order, read off each
-        member's solution list; ``killers[zero]`` holds every member.
+        ``members[i]``) of the s with s*x in the bitmask ``into``, in that
+        order, read off each member's solution lists of s*x = t for t in
+        ``into``.
         """
         ring = self.ring
-        killers = [0] * ring.size
+        table = [0] * ring.size
+        targets = mask_elements(into)
         for i, s in enumerate(self.members):
             bit = 1 << i
-            for x in ring.solve_mul_all(s, ring.zero):
-                killers[x] |= bit
-        return killers
+            for t in targets:
+                for x in ring.solve_mul_all(s, t):
+                    table[x] |= bit
+        return table
+
+    @cached_property
+    def killers(self) -> list[int]:
+        """:meth:`carriers` into the zero ideal: the s with s*x = 0, per
+        element x; ``killers[zero]`` holds every member."""
+        return self.carriers(1)
 
     def least(self, mask: int) -> int | None:
         """The least member in a bitmask over ``members``; None when it is 0."""
@@ -112,10 +119,10 @@ class MultiplicativeSet:
     def witness(self, xs, into: int) -> int | None:
         """Least member s, in index order, with s*x in ``into`` for every x in ``xs``.
 
-        ``into`` is a membership bitmask (into the zero ideal, read
-        :attr:`killers`) and the product keeps the order s*x.  None when no
-        member carries all of ``xs`` into it.  ``xs`` is walked once per
-        member tried.
+        ``into`` is a membership bitmask (for every x of the ring at once,
+        read :meth:`carriers`) and the product keeps the order s*x.  None
+        when no member carries all of ``xs`` into it.  ``xs`` is walked once
+        per member tried.
         """
         mul = self.ring.mul
         for s in self.members:
@@ -159,18 +166,13 @@ class SPrimeWitness:
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, 1, ())
-
-
-def ideal_from_mask(ring: FiniteRing, mask: int, gens: tuple[int, ...] = ()) -> Ideal:
-    return Ideal(ring, mask, gens)
+    return Ideal(ring, 1)
 
 
 def ideal_generated(ring: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing ``gens``: the sum of the subgroups R*g."""
     require_commutative(ring, "this ideal-theoretic operation")
-    gens = tuple(gens)
-    return Ideal(ring, ideal_span(ring, gens), gens)
+    return Ideal(ring, ideal_span(ring, gens))
 
 
 def is_ideal_mask(ring: FiniteRing, mask: int) -> bool:
@@ -195,11 +197,11 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     """
     ring = I.ring
     mask, _ = _coset_union(ring, I.mask, list(I.elements), J.elements)
-    return Ideal(ring, mask, tuple(sorted(set(I.gens) | set(J.gens))))
+    return Ideal(ring, mask)
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    return Ideal(I.ring, I.mask & J.mask, ())
+    return Ideal(I.ring, I.mask & J.mask)
 
 
 def intersection_mask(ring: FiniteRing, ideals) -> int:
@@ -256,7 +258,7 @@ def colon_elem(I: Ideal, x: int) -> Ideal:
     for r in range(ring.size):
         if (I.mask >> ring.mul(r, x)) & 1:
             mask |= 1 << r
-    return Ideal(ring, mask, ())
+    return Ideal(ring, mask)
 
 
 def is_prime_ideal(I: Ideal) -> bool:
@@ -312,7 +314,7 @@ def mult_closure(ring: FiniteRing, gens, *, allow_zero: bool = False) -> Multipl
     if (mask & 1) and not allow_zero:
         raise ZeroInClosureError(
             f"multiplicative closure of {gens} in {ring.label} contains zero")
-    return MultiplicativeSet(ring, mask, gens, allow_zero)
+    return MultiplicativeSet(ring, mask, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +331,22 @@ class SRadicalResult:
 def s_radical(ring: FiniteRing, S: MultiplicativeSet, I: Ideal) -> SRadicalResult:
     """Elements a with s * a**n in I for some s in S and n >= 1.
 
-    Witnesses record the smallest such n and then the least s; the power
-    search is bounded by the cycle of a's power sequence (at most |R|).
+    Witnesses record the smallest such n and then the least s, read off
+    :meth:`MultiplicativeSet.carriers` into I; the power search is bounded
+    by the cycle of a's power sequence (at most |R|).
     """
     require_commutative(ring, "this ideal-theoretic operation")
+    carriers = S.carriers(I.mask)
     mask = 0
     witnesses: dict[int, tuple[int, int]] = {}
     for a in range(ring.size):
         for n, p in enumerate(power_cycle(ring, a), 1):
-            hit = S.witness((p,), I.mask)
-            if hit is not None:
+            hit = carriers[p]
+            if hit:
                 mask |= 1 << a
-                witnesses[a] = (hit, n)
+                witnesses[a] = (S.least(hit), n)
                 break
-    result = Ideal(ring, mask, ())
-    return SRadicalResult(result, witnesses, mask == I.mask)
+    return SRadicalResult(Ideal(ring, mask), witnesses, mask == I.mask)
 
 
 def s_nilradical(ring: FiniteRing, S: MultiplicativeSet) -> SRadicalResult:
@@ -426,11 +429,11 @@ def s_spectrum(ring: FiniteRing, S: MultiplicativeSet, *,
 
 
 def s_minimal_s_primes(ring: FiniteRing, S: MultiplicativeSet, *,
-                       spectrum: list[tuple[Ideal, SPrimeWitness]] | None = None,
-                       cap: int = DEFAULT_IDEAL_CAP) -> list[Ideal]:
+                       spectrum: list[tuple[Ideal, SPrimeWitness]] | None = None
+                       ) -> list[Ideal]:
     """S-primes P such that every S-prime Q inside P absorbs sP for some s."""
     if spectrum is None:
-        spectrum = s_spectrum(ring, S, cap=cap)
+        spectrum = s_spectrum(ring, S)
     primes = [I for I, _ in spectrum]
     return [P for P in primes
             if all(S.witness(P.elements, Q.mask) is not None
@@ -438,13 +441,13 @@ def s_minimal_s_primes(ring: FiniteRing, S: MultiplicativeSet, *,
 
 
 def spectrum_intersection(ring: FiniteRing, S: MultiplicativeSet, *,
-                          spectrum: list[tuple[Ideal, SPrimeWitness]] | None = None,
-                          cap: int = DEFAULT_IDEAL_CAP) -> Ideal:
+                          spectrum: list[tuple[Ideal, SPrimeWitness]] | None = None
+                          ) -> Ideal:
     if spectrum is None:
-        spectrum = s_spectrum(ring, S, cap=cap)
+        spectrum = s_spectrum(ring, S)
     if not spectrum:
         raise EmptySpectrumError(f"{ring.label} has no S-prime ideal for this S")
-    return Ideal(ring, intersection_mask(ring, (I for I, _ in spectrum)), ())
+    return Ideal(ring, intersection_mask(ring, (I for I, _ in spectrum)))
 
 
 def dominant_colon_witness(S: MultiplicativeSet, P: Ideal) -> tuple[int, Ideal]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeOverflowError
 from .rings import FiniteRing
 
 
@@ -42,14 +41,10 @@ def poly_add(ring: FiniteRing, f: Polynomial, g: Polynomial) -> Polynomial:
     return poly(ring.add(f.coefficient(k), g.coefficient(k)) for k in range(n))
 
 
-def poly_multiply(ring: FiniteRing, f: Polynomial, g: Polynomial,
-                  max_degree: int | None = None) -> Polynomial:
+def poly_multiply(ring: FiniteRing, f: Polynomial, g: Polynomial) -> Polynomial:
     """Convolution product; factor order is preserved for noncommutative carriers."""
     if f.is_zero or g.is_zero:
         return poly(())
-    if max_degree is not None and f.degree + g.degree > max_degree:
-        raise DegreeOverflowError(
-            f"product degree {f.degree + g.degree} exceeds bound {max_degree}")
     out = [ring.zero] * (f.degree + g.degree + 1)
     for i, a in enumerate(f.coeffs):
         if a == ring.zero:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, SRingError
-from .ideals import Ideal, MultiplicativeSet, ideal_from_mask, is_ideal_mask
+from .ideals import Ideal, MultiplicativeSet, is_ideal_mask
 from .polynomials import poly
 from .rings import (
     FiniteRing,
@@ -166,7 +166,8 @@ class LocalizationResult:
     """Localization of a finite ring, realized as the quotient by S-torsion.
 
     Multiplication by any s acts injectively on R/T, hence bijectively, so
-    every image of S is a unit and the quotient is the localization.
+    every image of S is a unit and the quotient is the localization.  Its
+    expression quotients R by every element of T.
     """
 
     ring: FiniteRing
@@ -188,7 +189,7 @@ def localize(ring: FiniteRing, S: MultiplicativeSet) -> LocalizationResult:
     mask = sum(1 << x for x, killed_by in enumerate(S.killers) if killed_by)
     if not is_ideal_mask(ring, mask):
         raise SRingError(f"S-torsion set of {ring.label} is not an ideal")
-    torsion = ideal_from_mask(ring, mask)
+    torsion = Ideal(ring, mask)
     loc = QuotientRing(ring, mask)
     projection = tuple(loc.project(x) for x in range(ring.size))
     degenerate = S.contains_zero
@@ -258,7 +259,7 @@ def is_s_pf(ring: FiniteRing, S: MultiplicativeSet) -> SPFResult:
         mask = annihilator_mask(ring, a)
         if mask in pure:
             continue
-        ann = ideal_from_mask(ring, mask)
+        ann = Ideal(ring, mask)
         res = is_s_pure(S, ann)
         if not res.verdict:
             return SPFResult(False, a, ann, res)

@@ -10,7 +10,8 @@ Expression nodes: {"type": "zmod", "n": 24}, {"type": "product",
 {"type": "triangular_e", "base": ...}.  Element literals are integers for
 zmod carriers and nested arrays mirroring the structure otherwise.
 
-Semantic errors carry the offending key path; a missing mult_set defaults
+Semantic errors carry the offending key path, which starts at
+``document``, ``ring`` or ``mult_set``; a missing mult_set defaults
 to the unit set {1}, which collapses every S-notion to its classical
 counterpart.  An expression may nest at most ``MAX_EXPRESSION_DEPTH``
 nodes deep: ring construction, labels and the solvers recurse once or
@@ -122,30 +123,27 @@ def expression_to_json(expr: RingExpression) -> dict:
     raise MalformedExpressionError(f"unknown expression {expr!r}")
 
 
-def parse_ring_data(doc, *, size_cap: int = DEFAULT_SIZE_CAP,
-                    path: str = "") -> tuple[FiniteRing, MultiplicativeSet]:
-    root = path or "document"
+def parse_ring_data(doc, *, size_cap: int = DEFAULT_SIZE_CAP
+                    ) -> tuple[FiniteRing, MultiplicativeSet]:
     if not isinstance(doc, dict):
-        _err(root, f"expected a JSON object, got {type(doc).__name__}")
-    _expect_keys(doc, {"ring", "mult_set"}, {"ring"}, root)
-    expr = expression_from_json(doc["ring"], f"{root}.ring" if path else "ring")
-    ring = build_ring(expr, size_cap=size_cap)
+        _err("document", f"expected a JSON object, got {type(doc).__name__}")
+    _expect_keys(doc, {"ring", "mult_set"}, {"ring"}, "document")
+    ring = build_ring(expression_from_json(doc["ring"]), size_cap=size_cap)
     if "mult_set" not in doc:
         return ring, mult_closure(ring, (ring.one,))
     ms = doc["mult_set"]
-    ms_path = f"{root}.mult_set" if path else "mult_set"
     if not isinstance(ms, dict):
-        _err(ms_path, "expected an object")
-    _expect_keys(ms, {"generators"}, {"generators"}, ms_path)
+        _err("mult_set", "expected an object")
+    _expect_keys(ms, {"generators"}, {"generators"}, "mult_set")
     gens = ms["generators"]
     if not isinstance(gens, list) or not gens:
-        _err(f"{ms_path}.generators", "expected a nonempty array of element literals")
+        _err("mult_set.generators", "expected a nonempty array of element literals")
     idx = []
     for i, lit in enumerate(gens):
         try:
             idx.append(ring.encode(freeze_literal(lit)))
         except MalformedExpressionError as exc:
-            _err(f"{ms_path}.generators[{i}]", str(exc))
+            _err(f"mult_set.generators[{i}]", str(exc))
     return ring, mult_closure(ring, tuple(idx))
 
 

@@ -12,7 +12,9 @@ idealization and triangular indices are mixed-radix, so their ``add`` and
 ``neg`` tables (and the product's ``mul``) are Kronecker folds of their
 components' tables, the idealization and triangular ``mul`` rows are sums
 of a few structured products, and a quotient projects base operations on
-its representatives.  An
+its representatives.  A quotient built from a bitmask alone names every
+element of its ideal in its expression, so :func:`build_ring` realizes any
+carrier's expression again.  An
 idealization is its base ring acting on one module ring, the product of its
 cyclic components, so each of its operations and solvers takes one path
 whatever the shape of the module.  Only the idealization and triangular
@@ -336,9 +338,6 @@ class ZModRing(FiniteRing):
         x0 = ((t // g) * inv) % m
         return [x0 + k * m for k in range(g)]
 
-    def is_unit(self, a):
-        return math.gcd(a, self.n) == 1
-
 
 class ProductRing(FiniteRing):
     def __init__(self, factors: tuple[FiniteRing, ...], expression=None):
@@ -406,9 +405,6 @@ class ProductRing(FiniteRing):
             per_factor.append(sols)
         return sorted(self._join(parts) for parts in itertools.product(*per_factor))
 
-    def is_unit(self, a):
-        return all(f.is_unit(x) for f, x in zip(self.factors, self._split(a)))
-
 
 def _digitwise_table(digits, op: str) -> list[int]:
     """Flat table of the binary operation ``op`` ("add", "sub" or "mul") on
@@ -475,10 +471,13 @@ def _mixed_radix_tables(ring: FiniteRing, digits
 
 
 class QuotientRing(FiniteRing):
-    """Quotient by an ideal; elements are cosets named by their least base rep."""
+    """Quotient by an ideal; elements are cosets named by their least base rep.
 
-    def __init__(self, base: FiniteRing, ideal_mask: int, expression=None,
-                 gens_idx: tuple[int, ...] = ()):
+    Built without an expression, it names itself ``Quotient(base, every
+    element of the ideal)``, which :func:`build_ring` realizes exactly.
+    """
+
+    def __init__(self, base: FiniteRing, ideal_mask: int, expression=None):
         self.base = base
         self.ideal_elements = tuple(_mask_elements(ideal_mask))
         reps: list[int] = []
@@ -492,10 +491,8 @@ class QuotientRing(FiniteRing):
         self._reps = tuple(reps)
         self._proj = tuple(proj)
         if expression is None:
-            expression = Quotient(
-                base.expression,
-                tuple(freeze_literal(base.decode(g)) for g in gens_idx),
-            )
+            expression = Quotient(base.expression, tuple(
+                freeze_literal(base.decode(i)) for i in self.ideal_elements))
         super().__init__(len(reps), expression, proj[base.one])
         self.commutative = base.commutative
         self._install_op_tables()
@@ -871,8 +868,7 @@ def ideal_span(ring: FiniteRing, gens) -> int:
 # Construction
 
 
-def build_ring(expr: RingExpression, *, size_cap: int = DEFAULT_SIZE_CAP,
-               check: bool = True) -> FiniteRing:
+def build_ring(expr: RingExpression, *, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     """Realize a construction expression as a concrete ring.
 
     Raises MalformedExpressionError for invalid expressions and
@@ -884,8 +880,7 @@ def build_ring(expr: RingExpression, *, size_cap: int = DEFAULT_SIZE_CAP,
     if ring.size > size_cap:
         raise SizeCapExceededError(
             f"ring size {ring.size} exceeds cap {size_cap}")
-    if check:
-        _quick_axiom_sample(ring)
+    _quick_axiom_sample(ring)
     return ring
 
 
@@ -914,7 +909,7 @@ def _realize(expr, size_cap: int) -> FiniteRing:
             raise MalformedExpressionError(
                 f"invalid quotient generator for {base.label}: {exc}") from exc
         mask = ideal_span(base, gens)
-        ring = QuotientRing(base, mask, expr, gens_idx=gens)
+        ring = QuotientRing(base, mask, expr)
         if ring.size == 1:
             raise MalformedExpressionError(
                 f"quotient of {base.label} by the unit ideal collapses to the zero ring")
@@ -923,9 +918,8 @@ def _realize(expr, size_cap: int) -> FiniteRing:
         base = _realize(expr.base, size_cap)
         comps = []
         for comp_gens in expr.module.cyclic:
-            gens = tuple(base.encode(g) for g in comp_gens)
-            mask = ideal_span(base, gens)
-            comps.append(QuotientRing(base, mask, gens_idx=gens))
+            mask = ideal_span(base, [base.encode(g) for g in comp_gens])
+            comps.append(QuotientRing(base, mask))
         if not comps:
             raise MalformedExpressionError("idealization module needs >= 1 cyclic component")
         size = base.size * math.prod(c.size for c in comps)
@@ -986,32 +980,34 @@ def _sampled_triples(size: int, count: int, seed: int):
         yield rng.randrange(size), rng.randrange(size), rng.randrange(size)
 
 
-def _quick_axiom_sample(ring: FiniteRing, triples: int = 64) -> None:
-    """Seeded spot check of the ring axioms; raises on the first failure.
+def _quick_axiom_sample(ring: FiniteRing) -> None:
+    """Seeded spot check of the ring axioms on 64 triples; raises on the
+    first failure.
 
     The identity and inverse axioms are checked at the first entry of each
     sampled triple.
     """
-    sample = list(_sampled_triples(ring.size, triples, 0xC0FFEE ^ ring.size))
+    sample = list(_sampled_triples(ring.size, 64, 0xC0FFEE ^ ring.size))
     failure = _axiom_failure(ring, [a for a, _, _ in sample], sample)
     if failure is not None:
         raise MalformedExpressionError(f"{ring.label}: {failure}")
 
 
-def verify_ring_axioms(ring: FiniteRing, *, exhaustive_limit: int = AXIOM_EXHAUSTIVE_LIMIT,
-                       samples: int = AXIOM_SAMPLE_TRIPLES, seed: int = 0) -> list[str]:
+def verify_ring_axioms(ring: FiniteRing, *,
+                       samples: int = AXIOM_SAMPLE_TRIPLES) -> list[str]:
     """Check the ring axioms, exhaustively for small carriers.
 
     Returns the first failure as a one-element list of its human-readable
     description (empty when all axioms hold).  The identity and inverse
-    axioms are checked at every element; above ``exhaustive_limit`` elements
-    the triple checks downgrade to ``samples`` seeded random draws.
+    axioms are checked at every element; above ``AXIOM_EXHAUSTIVE_LIMIT``
+    elements the triple checks downgrade to ``samples`` random draws from
+    seed 0.
     """
     size = ring.size
-    if size <= exhaustive_limit:
+    if size <= AXIOM_EXHAUSTIVE_LIMIT:
         triples = itertools.product(range(size), repeat=3)
     else:
-        triples = _sampled_triples(size, samples, seed)
+        triples = _sampled_triples(size, samples, 0)
     failure = _axiom_failure(ring, range(size), triples)
     return [] if failure is None else [failure]
 

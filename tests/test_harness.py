@@ -255,3 +255,33 @@ def test_degenerate_set_watermarks_reports():
     report = check_statement(StatementId.SPECTRUM_S_ZERO, inst)
     assert report.verdict == HYP_NOT_MET
     assert any("degenerate" in n for n in report.notes)
+
+
+def assert_rebuilds(q):
+    """build_ring(q.expression) names the same elements in the same order."""
+    from sring import build_ring
+    rebuilt = build_ring(q.expression, size_cap=q.base.size)
+    assert [rebuilt.decode(x) for x in range(rebuilt.size)] == \
+        [q.decode(x) for x in range(q.size)], q.expression
+    pairs = [(a, b) for a in range(q.size) for b in range(q.size)]
+    assert [rebuilt.mul(a, b) for a, b in pairs] == [q.mul(a, b) for a, b in pairs]
+
+
+def test_quotient_expressions_rebuild_the_quotient(by_label):
+    from sring import Idealization, ModuleSpec, ZMod, build_ring, localize, mult_closure
+    from sring.harness import InstanceContext
+    from sring.rings import IdealizationRing, QuotientRing
+    inst = by_label["z24-pow2"]
+    ctx = InstanceContext(inst, VerifyConfig())
+    quotients = [ctx.quotient(I) for I in ctx.proper_ideals]
+    assert len(quotients) == 7
+    z24 = build_ring(ZMod(24))
+    for gens in ((2,), (3,), (9,)):
+        loc = localize(z24, mult_closure(z24, gens)).ring
+        assert 1 < loc.size < 24
+        quotients.append(loc)
+    rr = build_ring(Idealization(ZMod(12), ModuleSpec(((4,), (0,), (6, 9)))))
+    quotients += rr.module.factors
+    quotients += IdealizationRing(z24, (QuotientRing(z24, 1),)).module.factors
+    for q in quotients:
+        assert_rebuilds(q)

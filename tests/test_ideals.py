@@ -116,7 +116,7 @@ def colon(I, J):
     ring = I.ring
     mask = sum(1 << r for r in range(ring.size)
                if all((I.mask >> ring.mul(r, j)) & 1 for j in J.elements))
-    return Ideal(ring, mask, ())
+    return Ideal(ring, mask)
 
 
 def test_colon_by_principal_ideal_matches_colon_elem(z24):

@@ -19,7 +19,7 @@ from sring import (
     mult_closure,
     s_strongly_hopfian_profile,
 )
-from sring.ideals import ideal_from_mask, zero_ideal
+from sring.ideals import Ideal, zero_ideal
 from sring.predicates import annihilator_mask
 
 
@@ -126,7 +126,7 @@ def test_localize_degenerate():
 def test_s_pure():
     z4 = build_ring(ZMod(4))
     s4 = mult_closure(z4, (3,))
-    ann2 = ideal_from_mask(z4, annihilator_mask(z4, 2))
+    ann2 = Ideal(z4, annihilator_mask(z4, 2))
     assert ann2.elements == (0, 2)
     res = is_s_pure(s4, ann2)
     assert not res.verdict and res.failing == 2

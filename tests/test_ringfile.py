@@ -64,3 +64,30 @@ def test_nesting_depth_limit():
     path = "ring" + ".base" * MAX_EXPRESSION_DEPTH
     with pytest.raises(MalformedExpressionError, match=rf"^{path}: .*nested"):
         expression_from_json(too_deep)
+
+
+PARSE_ERRORS = [
+    ([1], "document: expected a JSON object, got list"),
+    ({"ring": {"type": "zmod", "n": 4}, "extra": 1},
+     "document.extra: unknown key (allowed: ['mult_set', 'ring'])"),
+    ({"mult_set": {"generators": [1]}}, "document: missing required key 'ring'"),
+    ({"ring": {"type": "zmod", "n": 4}, "mult_set": [1]},
+     "mult_set: expected an object"),
+    ({"ring": {"type": "zmod", "n": 4}, "mult_set": {"gens": [1]}},
+     "mult_set.gens: unknown key (allowed: ['generators'])"),
+    ({"ring": {"type": "zmod", "n": 4}, "mult_set": {"generators": []}},
+     "mult_set.generators: expected a nonempty array of element literals"),
+    ({"ring": {"type": "zmod", "n": 4}, "mult_set": {"generators": [1, [1, 2]]}},
+     "mult_set.generators[1]: expected integer literal for Z4, got (1, 2)"),
+    ({"ring": {"type": "product", "factors": [{"type": "zmod", "n": 4}] * 2},
+      "mult_set": {"generators": [3]}},
+     "mult_set.generators[0]: expected 2-tuple literal for Z4xZ4, got 3"),
+]
+
+
+@pytest.mark.parametrize("doc,message", PARSE_ERRORS,
+                         ids=[m.partition(":")[0] for _, m in PARSE_ERRORS])
+def test_parse_ring_data_error_text(doc, message):
+    with pytest.raises(MalformedExpressionError) as exc:
+        parse_ring_data(doc)
+    assert str(exc.value) == message

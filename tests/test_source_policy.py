@@ -7,13 +7,18 @@
 - Every ``.witness(`` call passes its target: which members kill an
   element is read off ``MultiplicativeSet.killers``, and a one-argument
   call would be a second path to that answer.
+- Every keyword-only parameter of a function in the package is passed by
+  that name at some call in ``src/``, ``tests/`` or ``bench/``: a setting
+  that no caller passes is a constant, and it should be written as one.
 """
 
 import ast
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "sring").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "sring").glob("*.py"))
+CALLERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _imported_modules(node) -> list[str]:
@@ -50,3 +55,36 @@ def untargeted_witness_calls(path: Path) -> list[str]:
 
 def test_every_witness_call_passes_a_target():
     assert [w for path in SOURCES for w in untargeted_witness_calls(path)] == []
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def unpassed_keywords(sources, callers) -> list[str]:
+    """``function.parameter`` for each keyword-only parameter of a function
+    in ``sources`` that no call in ``callers`` passes by name, matched on the
+    called name (a bare name or the attribute after the last dot)."""
+    passed = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = _called_name(node)
+                passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    unpassed = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unpassed += [f"{node.name}.{arg.arg}" for arg in node.args.kwonlyargs
+                             if (node.name, arg.arg) not in passed]
+    return unpassed
+
+
+def test_every_keyword_only_parameter_is_passed_somewhere():
+    assert CALLERS
+    assert unpassed_keywords(SOURCES, CALLERS) == []

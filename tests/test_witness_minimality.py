@@ -27,9 +27,11 @@ from sring import (
     is_s_reduced,
     localize,
     mult_closure,
+    s_nilradical,
+    s_radical,
     s_strongly_hopfian_profile,
 )
-from sring.ideals import ideal_from_mask
+from sring.ideals import Ideal
 
 # ring, literals generating S (one set per entry; () is S = {1})
 CASES = {
@@ -139,7 +141,7 @@ def test_s_pure_witnesses_are_least(name, gens):
     if ring.size <= 128:
         masks |= {I.mask for I in enumerate_ideals(ring)}
     for mask in sorted(masks):
-        I = ideal_from_mask(ring, mask)
+        I = Ideal(ring, mask)
         assert as_tuple(is_s_pure(S, I)) == \
             brute_pure(ring, S.members, I.elements), (name, gens, I)
 
@@ -170,7 +172,7 @@ def test_cases_reach_past_the_first_candidate():
             k_early |= e.k < e.stabilization
         ann = brute_annihilators(ring)
         for a in range(ring.size):
-            res = is_s_pure(S, ideal_from_mask(ring, sum(1 << x for x in ann(a))))
+            res = is_s_pure(S, Ideal(ring, sum(1 << x for x in ann(a))))
             s_late |= any(s != ring.one for _, s in res.witnesses.values())
         res = is_s_pf(ring, S)
         pf_fail |= not res.verdict and res.failing > 0
@@ -250,3 +252,34 @@ def test_s_reduced_cases_reach_past_the_first_candidate():
         domain |= d is not None
         not_domain |= d is None
     assert fail_late and s_late and uniform and domain and not_domain
+
+
+def brute_s_radical(ring, members, mask):
+    """(radical elements, witnesses, is S-radical) of the ideal ``mask``:
+    per element a the least n >= 1, then the least s, with s * a**n in it."""
+    elems, witnesses = [], {}
+    for a in range(ring.size):
+        seen, p, n = set(), a, 1
+        while p not in seen:
+            s = next((s for s in members if (mask >> ring.mul(s, p)) & 1), None)
+            if s is not None:
+                elems.append(a)
+                witnesses[a] = (s, n)
+                break
+            seen.add(p)
+            p, n = ring.mul(p, a), n + 1
+    return tuple(elems), witnesses, sum(1 << a for a in elems) == mask
+
+
+@pytest.mark.parametrize("name,gens", PARAMS)
+def test_s_radical_witnesses_are_least(name, gens):
+    ring, S = instance(name, gens)
+    for I in enumerate_ideals(ring):
+        if not I.is_proper:
+            continue
+        res = s_radical(ring, S, I)
+        assert (res.ideal.elements, res.witnesses, res.is_s_radical) == \
+            brute_s_radical(ring, S.members, I.mask), (name, gens, I.elements)
+    nil = s_nilradical(ring, S)
+    assert (nil.ideal.elements, nil.witnesses, nil.is_s_radical) == \
+        brute_s_radical(ring, S.members, 1), (name, gens)
