@@ -9,7 +9,8 @@ no timestamps, so identical invocations produce byte-identical output.
 The SRING_THREADS environment variable caps the verification worker count
 (default: available parallelism); a value that is not a positive integer is
 a usage error.  Integer flags are range-checked at parse time (usage
-error): --max-degree >= 0, --budget >= 1, --count >= 0, --workers >= 1.
+error): --max-degree >= 0, --budget >= 1, --count >= 0, --max-size >= 4,
+--workers >= 1.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(default: built-in corpus)")
     p.add_argument("--count", type=_int_at_least(0), default=30,
                    help="seeded instances to add to the built-in corpus")
-    p.add_argument("--max-size", type=int, default=64)
+    p.add_argument("--max-size", type=_int_at_least(4), default=64)
     p.add_argument("--budget", type=_int_at_least(1), default=100_000)
     p.add_argument("--max-degree", type=_int_at_least(0), default=None)
     p.add_argument("--workers", type=_int_at_least(1), default=None,
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[s.name for s in StatementId])
     p.add_argument("--variant", default="full",
                    choices=["full", "drop-hypothesis", "converse"])
-    p.add_argument("--max-size", type=int, default=64)
+    p.add_argument("--max-size", type=_int_at_least(4), default=64)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=_int_at_least(0), default=30)
     p.add_argument("--budget", type=_int_at_least(1), default=100_000)

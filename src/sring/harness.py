@@ -23,6 +23,7 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
 
 from .errors import MalformedExpressionError, SizeCapExceededError, SRingError, ZeroInClosureError
 from .ideals import (
@@ -72,7 +73,7 @@ from .rings import (
     thaw_literal,
     zero_divisor_set,
 )
-from .ringfile import instance_to_json, parse_ring_data
+from .ringfile import instance_to_json
 
 
 class StatementId(enum.Enum):
@@ -261,7 +262,7 @@ def generate_corpus(config: CorpusConfig) -> list[CorpusInstance]:
 
 
 # ---------------------------------------------------------------------------
-# Per-instance context with memoized building blocks
+# Per-instance context with cached building blocks
 
 
 class InstanceContext:
@@ -270,75 +271,105 @@ class InstanceContext:
         self.cfg = cfg
         self.ring = instance.ring
         self.S = instance.mult_set
-        self._cache: dict = {}
+        self._quotients: dict[int, QuotientRing] = {}
 
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def ideals(self) -> list[Ideal]:
-        return self._memo("ideals", lambda: enumerate_ideals(self.ring))
+        return enumerate_ideals(self.ring)
 
     @property
     def proper_ideals(self) -> list[Ideal]:
         return [I for I in self.ideals if I.is_proper]
 
-    @property
+    @cached_property
     def spectrum(self):
-        return self._memo("spectrum",
-                          lambda: s_spectrum(self.ring, self.S, ideals=self.ideals))
+        return s_spectrum(self.ring, self.S, ideals=self.ideals)
 
-    @property
+    @cached_property
     def s_minimal(self):
-        return self._memo("s_minimal",
-                          lambda: s_minimal_s_primes(self.ring, self.S,
-                                                     spectrum=self.spectrum))
+        return s_minimal_s_primes(self.ring, self.S, spectrum=self.spectrum)
 
-    @property
+    @cached_property
     def nilpotents(self) -> dict[int, int]:
-        return self._memo("nilpotents", lambda: nilpotent_profile(self.ring))
+        return nilpotent_profile(self.ring)
 
-    @property
+    @cached_property
     def s_reduced(self):
-        return self._memo("s_reduced", lambda: is_s_reduced(self.ring, self.S))
+        return is_s_reduced(self.ring, self.S)
 
-    @property
+    @cached_property
     def nil_mask(self) -> int:
         """Bitmask of the nilradical."""
-        return self._memo("nil_mask",
-                          lambda: sum(1 << a for a in self.nilpotents))
+        return sum(1 << a for a in self.nilpotents)
 
-    @property
+    @cached_property
     def s_meets_zero_divisors(self) -> bool:
-        return self._memo("s_meets_zdiv",
-                          lambda: bool(set(self.S.members) & zero_divisor_set(self.ring)))
+        return bool(set(self.S.members) & zero_divisor_set(self.ring))
 
-    @property
+    @cached_property
     def primes_missing_s(self) -> tuple[list[Ideal], int]:
         """Prime ideals disjoint from S, and the bitmask of their intersection."""
-        def compute():
-            primes = [I for I in self.ideals
-                      if is_prime_ideal(I) and not (I.mask & self.S.mask)]
-            return primes, intersection_mask(self.ring, primes)
-        return self._memo("primes_missing_s", compute)
+        primes = [I for I in self.ideals
+                  if is_prime_ideal(I) and not (I.mask & self.S.mask)]
+        return primes, intersection_mask(self.ring, primes)
 
-    @property
+    @cached_property
     def s_pf(self):
-        return self._memo("s_pf", lambda: is_s_pf(self.ring, self.S))
+        return is_s_pf(self.ring, self.S)
 
-    @property
+    @cached_property
     def localization(self):
-        return self._memo("localization", lambda: localize(self.ring, self.S))
+        return localize(self.ring, self.S)
 
-    @property
+    @cached_property
     def nil_s(self):
-        return self._memo("nil_s", lambda: s_nilradical(self.ring, self.S))
+        return s_nilradical(self.ring, self.S)
+
+    @cached_property
+    def radical_quotient_records(self) -> list[dict]:
+        """Per proper ideal: hypothesis status plus both sides of the equivalence."""
+        out = []
+        for I in self.proper_ideals:
+            q = self.quotient(I)
+            sbar = self.projected_set(q)
+            if sbar is None:
+                out.append({"ideal": self.lits(I.elements), "hyp_ok": False,
+                            "reason": "projected set contains 0", "lhs": None, "rhs": None})
+                continue
+            zdiv_q = zero_divisor_set(q)
+            hyp_ok = not (zdiv_q & set(sbar.members))
+            lhs = s_radical(self.ring, self.S, I).is_s_radical
+            rhs = is_s_reduced(q, sbar).verdict
+            out.append({"ideal": self.lits(I.elements), "hyp_ok": hyp_ok,
+                        "lhs": lhs, "rhs": rhs})
+        return out
+
+    @cached_property
+    def structure(self) -> dict:
+        """Kernel of the subdirect map plus per-quotient integral-domain checks.
+
+        With no S-minimal S-prime the kernel is the whole ring.
+        """
+        ring, S = self.ring, self.S
+        kernel = intersection_mask(ring, self.s_minimal)
+        quotient_info = []
+        for P in self.s_minimal:
+            q = self.quotient(P)
+            sbar = self.projected_set(q)
+            quotient_info.append({
+                "prime": P, "quotient": q,
+                "domain": sbar is not None and is_s_integral_domain(q, sbar) is not None,
+                "surjective": len({q.project(r) for r in range(ring.size)}) == q.size})
+        torsion_witnesses = {
+            x: S.least(S.killers[x]) for x in mask_elements(kernel)}
+        return {"kernel": kernel, "quotients": quotient_info,
+                "torsion": torsion_witnesses}
 
     def quotient(self, I: Ideal) -> QuotientRing:
-        key = ("quotient", I.mask)
-        return self._memo(key, lambda: QuotientRing(self.ring, I.mask))
+        q = self._quotients.get(I.mask)
+        if q is None:
+            q = self._quotients[I.mask] = QuotientRing(self.ring, I.mask)
+        return q
 
     def projected_set(self, q: QuotientRing) -> MultiplicativeSet | None:
         """Image of S in the quotient; None when it degenerates to contain 0."""
@@ -415,44 +446,23 @@ _S_ARTINIAN_NOTE = ("degenerate hypothesis: every finite ring is S-Artinian "
                     "(stationarity read as s*I_k inside I_n for n >= k)")
 
 
-def _radical_quotient_records(ctx: InstanceContext) -> list[dict]:
-    """Per proper ideal: hypothesis status plus both sides of the equivalence."""
-    def compute():
-        out = []
-        for I in ctx.proper_ideals:
-            q = ctx.quotient(I)
-            sbar = ctx.projected_set(q)
-            if sbar is None:
-                out.append({"ideal": ctx.lits(I.elements), "hyp_ok": False,
-                            "reason": "projected set contains 0", "lhs": None, "rhs": None})
-                continue
-            zdiv_q = zero_divisor_set(q)
-            hyp_ok = not (zdiv_q & set(sbar.members))
-            lhs = s_radical(ctx.ring, ctx.S, I).is_s_radical
-            rhs = is_s_reduced(q, sbar).verdict
-            out.append({"ideal": ctx.lits(I.elements), "hyp_ok": hyp_ok,
-                        "lhs": lhs, "rhs": rhs})
-        return out
-    return ctx._memo("radical_quotient_records", compute)
-
-
 def _radical_quotient_cases(ctx: InstanceContext) -> list:
     # a quotient whose projected set contains 0 has no S-reducedness to
     # compare, just as an instance with 0 in S has no verdict
     return [({"quotient_zero_divisors_avoiding_S": r["hyp_ok"]},
              (r["lhs"] == r["rhs"], {"ideal": r["ideal"], "s_radical": r["lhs"],
                                      "quotient_s_reduced": r["rhs"]}))
-            for r in _radical_quotient_records(ctx) if r["lhs"] is not None]
+            for r in ctx.radical_quotient_records if r["lhs"] is not None]
 
 
 @_statement(StatementId.S_RADICAL_QUOTIENT,
             lambda ctx: {"nondegenerate_mult_set": True,
                          "some_ideal_with_quotient_zero_divisors_avoiding_S":
-                             any(r["hyp_ok"] for r in _radical_quotient_records(ctx))},
+                             any(r["hyp_ok"] for r in ctx.radical_quotient_records)},
             unmet=lambda ctx: _radical_quotient(ctx)[1],
             records=_radical_quotient_cases)
 def _radical_quotient(ctx: InstanceContext):
-    records = _radical_quotient_records(ctx)
+    records = ctx.radical_quotient_records
     checked = [r for r in records if r["hyp_ok"]]
     violations = [r for r in checked if r["lhs"] != r["rhs"]]
     return not violations, {"ideals_checked": len(checked),
@@ -719,30 +729,6 @@ def _s_pf_implies_s_reduced(ctx: InstanceContext):
                 "failing": None if ok else ctx.lit(ctx.s_reduced.failing)}
 
 
-def _structure_data(ctx: InstanceContext) -> dict:
-    """Kernel of the subdirect map plus per-quotient integral-domain checks.
-
-    With no S-minimal S-prime the kernel is the whole ring.
-    """
-    def compute():
-        ring = ctx.ring
-        kernel = intersection_mask(ring, ctx.s_minimal)
-        quotient_info = []
-        for P in ctx.s_minimal:
-            q = ctx.quotient(P)
-            sbar = ctx.projected_set(q)
-            quotient_info.append({
-                "prime": P, "quotient": q,
-                "domain": sbar is not None and is_s_integral_domain(q, sbar) is not None,
-                "surjective": len({q.project(r) for r in range(ring.size)}) == q.size})
-        S = ctx.S
-        torsion_witnesses = {
-            x: S.least(S.killers[x]) for x in mask_elements(kernel)}
-        return {"kernel": kernel, "quotients": quotient_info,
-                "torsion": torsion_witnesses}
-    return ctx._memo("structure", compute)
-
-
 def _structure_forward_hypotheses(ctx: InstanceContext) -> dict:
     hyp = {"s_reduced": ctx.s_reduced.verdict}
     if hyp["s_reduced"] and not ctx.s_minimal:
@@ -752,7 +738,7 @@ def _structure_forward_hypotheses(ctx: InstanceContext) -> dict:
 
 @_statement(StatementId.STRUCTURE_FORWARD, _structure_forward_hypotheses)
 def _structure_forward(ctx: InstanceContext):
-    data = _structure_data(ctx)
+    data = ctx.structure
     violations = []
     for x, s in data["torsion"].items():
         if s is None:
@@ -776,7 +762,7 @@ def _structure_forward(ctx: InstanceContext):
 def _structure_converse_hypotheses(ctx: InstanceContext) -> dict:
     hyp = {"s_minimal_primes_exist": bool(ctx.s_minimal)}
     if ctx.s_minimal:
-        data = _structure_data(ctx)
+        data = ctx.structure
         hyp["kernel_is_s_torsion"] = all(
             s is not None for s in data["torsion"].values())
         hyp["quotients_are_s_integral_domains"] = all(
@@ -787,7 +773,7 @@ def _structure_converse_hypotheses(ctx: InstanceContext) -> dict:
 @_statement(StatementId.STRUCTURE_CONVERSE, _structure_converse_hypotheses)
 def _structure_converse(ctx: InstanceContext):
     ring, S = ctx.ring, ctx.S
-    kernel = _structure_data(ctx)["kernel"]
+    kernel = ctx.structure["kernel"]
     violations = []
     derived = {}
     for a in sorted(ctx.nilpotents):
@@ -885,28 +871,12 @@ def check_statement(statement: StatementId, instance: CorpusInstance,
 
 _STATEMENT_ORDER = {stmt: i for i, stmt in enumerate(StatementId)}
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(instance_docs, cfg):
-    _WORKER_STATE["docs"] = instance_docs
-    _WORKER_STATE["cfg"] = cfg
-
 
 def _check_instance(instance: CorpusInstance, cfg: VerifyConfig,
                     statements) -> list[StatementReport]:
     """Reports for ``statements`` on one instance, sharing one context."""
     ctx = InstanceContext(instance, cfg)
     return [check_statement(stmt, instance, cfg, ctx) for stmt in statements]
-
-
-def _worker_run(position: int) -> list[StatementReport]:
-    """Reports for the instance at ``position`` of the fanned-out list,
-    numbered with that instance's own index."""
-    doc, index = _WORKER_STATE["docs"][position]
-    ring, S = parse_ring_data({k: doc[k] for k in ("ring", "mult_set")})
-    instance = CorpusInstance(doc["label"], "worker", ring, S, index)
-    return _check_instance(instance, _WORKER_STATE["cfg"], StatementId)
 
 
 def default_workers() -> int:
@@ -936,23 +906,19 @@ def run_catalog(instances: list[CorpusInstance], cfg: VerifyConfig | None = None
     cfg = cfg or VerifyConfig()
     statements = statements or list(StatementId)
     workers = workers if workers is not None else default_workers()
-    reports: list[StatementReport] = []
+    check = partial(_check_instance, cfg=cfg, statements=statements)
     # a statement subset runs serially: starting the pool and rebuilding
-    # every ring in the workers costs more than one cheap statement over a
-    # few rings (measured on the benchmark's large-rings verify)
+    # every pickled ring in the workers costs more than one cheap statement
+    # over a few rings (S_PF_IMPLIES_S_REDUCED over the benchmark's three
+    # large rings, 2 cores: 33-35 ms at 2 workers, 11 ms serial)
     if workers > 1 and len(instances) > 1 and set(statements) == set(StatementId):
         import concurrent.futures as cf
-        docs = [(inst.to_json(), inst.index) for inst in instances]
-        with cf.ProcessPoolExecutor(
-                max_workers=min(workers, len(instances)),
-                initializer=_worker_init, initargs=(docs, cfg)) as pool:
-            for batch in pool.map(_worker_run, range(len(instances))):
-                reports.extend(batch)
+        with cf.ProcessPoolExecutor(max_workers=min(workers, len(instances))) as pool:
+            batches = list(pool.map(check, instances))
     else:
-        for inst in instances:
-            reports.extend(_check_instance(inst, cfg, statements))
-    reports.sort(key=lambda r: (_STATEMENT_ORDER[r.statement], r.instance_index))
-    return reports
+        batches = map(check, instances)
+    return sorted(itertools.chain.from_iterable(batches),
+                  key=lambda r: (_STATEMENT_ORDER[r.statement], r.instance_index))
 
 
 def summarize(reports: list[StatementReport]) -> str:

@@ -22,8 +22,9 @@ carriers keep a random ``a*x = t`` solver of their own (see
 :class:`FiniteRing`).  Index 0 is always the zero element.
 
 Rings are immutable after construction; every operation here is a pure
-function of its inputs.  The bound table lookups do not pickle, so worker
-processes rebuild rings from their expression documents.
+function of its inputs.  A ring pickles as its construction expression and
+unpickles by realizing it again, so a worker process receives the ring
+itself and rebuilds its tables.
 """
 
 from __future__ import annotations
@@ -277,6 +278,11 @@ class FiniteRing:
 
     def is_unit(self, a: int) -> bool:
         return bool(self.solve_mul_all(a, self.one))
+
+    def __reduce__(self):
+        # the expression was realized under its cap and its axioms sampled
+        # when this ring was built, so the copy needs neither
+        return _realize, (self.expression, math.inf)
 
     @property
     def label(self) -> str:
@@ -546,7 +552,8 @@ class IdealizationRing(FiniteRing):
     carrier itself.  Index r * |M| + m names (r, m), and
     (r1, m1)(r2, m2) = (r1r2, r1m2 + r2m1), so (0, m) squares to zero.  Every
     operation is one base operation and one module operation, whatever the
-    number of components.
+    number of components.  Built without an expression, it names each
+    component by its quotient's ideal, so :func:`build_ring` realizes it.
     """
 
     def __init__(self, base: FiniteRing, components: tuple[QuotientRing, ...],
@@ -555,7 +562,7 @@ class IdealizationRing(FiniteRing):
         self.module = module = ProductRing(tuple(components))
         self.module_size = ms = module.size
         if expression is None:
-            spec = ModuleSpec(tuple(() for _ in module.factors))
+            spec = ModuleSpec(tuple(c.expression.ideal for c in module.factors))
             expression = Idealization(base.expression, spec)
         super().__init__(base.size * ms, expression, base.one * ms)
         self.commutative = base.commutative

@@ -177,8 +177,10 @@ def z6_corpus(tmp_path):
     ("verify", "--budget", "0"),
     ("verify", "--count", "-3"),
     ("verify", "--workers", "0"),
+    ("verify", "--max-size", "1"),
     ("search", "--count", "-1"),
     ("search", "--budget", "0"),
+    ("search", "--max-size", "1"),
 ])
 def test_cli_rejects_out_of_range_integers(tmp_path, capsys, command, flag, value):
     if command == "check":

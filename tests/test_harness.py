@@ -120,15 +120,74 @@ def test_e_ring_entry_gates_on_base_size(by_label):
     assert report.details["base_size"] == 24
 
 
+# one instance per carrier family: Z_n, a quotient, a product, an idealization
+FANOUT_LABELS = ("z4-s3", "z5-unit", "z24-pow2", "z24-mod3", "z2xz2-proj", "z4-halfdual")
+
+
 def test_catalog_worker_fanout_matches_serial(by_label):
     # a subset keeps its corpus indices, which are not list positions
-    instances = [by_label["z4-s3"], by_label["z5-unit"], by_label["z24-pow2"]]
+    instances = [by_label[label] for label in FANOUT_LABELS]
     cfg = VerifyConfig(budget=2000)
     serial = [r.to_json() for r in run_catalog(instances, cfg, workers=1)]
     fanned = [r.to_json() for r in run_catalog(instances, cfg, workers=2)]
     assert serial == fanned
     assert {r["instance_index"] for r in fanned} == {inst.index for inst in instances}
-    assert {inst.index for inst in instances} != {0, 1, 2}
+    assert {inst.index for inst in instances} != set(range(len(instances)))
+
+
+SPAWN_FANOUT = """
+import json, multiprocessing, sys
+from sring import CorpusConfig, VerifyConfig, generate_corpus, run_catalog
+multiprocessing.set_start_method("spawn")
+by_label = {inst.label: inst for inst in generate_corpus(CorpusConfig(count=0))}
+instances = [by_label[label] for label in sys.argv[1:]]
+cfg = VerifyConfig(budget=2000)
+json.dump([[r.to_json() for r in run_catalog(instances, cfg, workers=workers)]
+           for workers in (1, 2)], sys.stdout)
+"""
+
+
+def test_catalog_fanout_under_spawn_matches_serial():
+    # spawn workers import the package afresh and receive every ring by pickle
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sring
+    src = str(Path(sring.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", SPAWN_FANOUT, *FANOUT_LABELS],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    serial, fanned = json.loads(done.stdout)
+    assert len(serial) == 18 * len(FANOUT_LABELS)
+    assert serial == fanned
+
+
+def test_rings_and_instances_pickle_as_their_expressions(by_label):
+    import pickle
+
+    from sring import ZMod, build_ring
+    from sring.rings import (IdealizationRing, ProductRing, QuotientRing, TriangularERing,
+                             ideal_span)
+    z4, z24 = build_ring(ZMod(4)), build_ring(ZMod(24))
+    rings = [z24, ProductRing((z4, build_ring(ZMod(6)))),
+             QuotientRing(z24, ideal_span(z24, [8])),
+             IdealizationRing(z4, (QuotientRing(z4, ideal_span(z4, [2])),)),
+             TriangularERing(build_ring(ZMod(3)))]
+    for ring in rings:
+        copy = pickle.loads(pickle.dumps(ring))
+        assert type(copy) is type(ring) and copy.expression == ring.expression
+        assert [copy.decode(x) for x in range(copy.size)] == \
+            [ring.decode(x) for x in range(ring.size)], ring.label
+        pairs = [(a, b) for a in range(ring.size) for b in range(ring.size)]
+        assert [copy.mul(a, b) for a, b in pairs] == [ring.mul(a, b) for a, b in pairs]
+    for label in FANOUT_LABELS:
+        inst = by_label[label]
+        copy = pickle.loads(pickle.dumps(inst))
+        assert (copy.label, copy.index) == (inst.label, inst.index)
+        assert copy.mult_set.ring is copy.ring
+        assert copy.mult_set.members == inst.mult_set.members
 
 
 def test_search_full_finds_nothing_on_sound_statement():
@@ -260,7 +319,7 @@ def test_degenerate_set_watermarks_reports():
 def assert_rebuilds(q):
     """build_ring(q.expression) names the same elements in the same order."""
     from sring import build_ring
-    rebuilt = build_ring(q.expression, size_cap=q.base.size)
+    rebuilt = build_ring(q.expression, size_cap=max(q.size, q.base.size))
     assert [rebuilt.decode(x) for x in range(rebuilt.size)] == \
         [q.decode(x) for x in range(q.size)], q.expression
     pairs = [(a, b) for a in range(q.size) for b in range(q.size)]
@@ -283,5 +342,10 @@ def test_quotient_expressions_rebuild_the_quotient(by_label):
     rr = build_ring(Idealization(ZMod(12), ModuleSpec(((4,), (0,), (6, 9)))))
     quotients += rr.module.factors
     quotients += IdealizationRing(z24, (QuotientRing(z24, 1),)).module.factors
+    # an idealization built from its components names each by its quotient:
+    # Z4 (+) Z4/(2) has 8 elements
+    z4 = build_ring(ZMod(4))
+    quotients.append(IdealizationRing(z4, (QuotientRing(z4, 5),)))
+    assert quotients[-1].size == 8
     for q in quotients:
         assert_rebuilds(q)
