@@ -120,7 +120,8 @@ def test_e_ring_entry_gates_on_base_size(by_label):
     assert report.details["base_size"] == 24
 
 
-# one instance per carrier family: Z_n, a quotient, a product, an idealization
+# Z_n instances and one quotient, one product and one idealization, so that
+# every carrier family of the corpus crosses the worker boundary
 FANOUT_LABELS = ("z4-s3", "z5-unit", "z24-pow2", "z24-mod3", "z2xz2-proj", "z4-halfdual")
 
 
