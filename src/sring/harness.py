@@ -4,8 +4,10 @@ Every cataloged statement is an implication over one (ring, multiplicative
 set) instance, defined once by its hypotheses and its conclusion; verify
 and the searcher's variants all evaluate that definition.  Hypothesis
 failures are a distinct verdict from holds/VIOLATED: the side conditions
-(0 not in S, S-reduced, S disjoint from the zero divisors) fail often on
-random instances and a vacuously green suite would be worthless.
+(S-reduced, S disjoint from the zero divisors) fail often on random
+instances and a vacuously green suite would be worthless.  "0 not in S"
+holds by construction: a set whose closure reaches 0 is never built, so it
+never reaches a report.
 
 A VIOLATED verdict always carries a re-checkable payload listing the
 concrete elements and ideals involved.  Statement checks are pure, so the
@@ -106,7 +108,7 @@ EXHAUSTIVE_SIZE_LIMIT = 12  # carriers the uniform test searches exhaustively
 E_BASE_LIMIT = 12  # largest base ring of E_RING_ARMENDARIZ
 EXTENSION_SIZE_CAP = 4096  # largest idealization of IDEALIZATION_ARMENDARIZ
 IDEAL_PAIR_LIMIT = 16  # most ideals INTERSECTION_VS_PRODUCT pairs up
-POLY_BUDGET = 4096  # most coefficient vectors POLY_TRANSFER checks
+POLY_BUDGET = 4096  # most coefficient vectors POLY_TRANSFER checks above degree 0
 
 
 @dataclass(frozen=True)
@@ -190,10 +192,10 @@ _CURATED: tuple[tuple[str, object, tuple], ...] = (
 )
 
 
-def curated_instances(*, max_size: int = 64) -> list[CorpusInstance]:
+def curated_instances() -> list[CorpusInstance]:
     out = []
     for label, expr, gens in _CURATED:
-        ring = build_ring(expr, size_cap=max(max_size, 64))
+        ring = build_ring(expr)
         S = mult_closure(ring, tuple(ring.encode(g) for g in gens))
         out.append(CorpusInstance(label, "curated", ring, S))
     return out
@@ -230,7 +232,7 @@ def generate_corpus(config: CorpusConfig) -> list[CorpusInstance]:
 
     The same config always yields the same instance list, byte for byte.
     """
-    out = curated_instances(max_size=config.max_size)
+    out = curated_instances()
     rng = random.Random(config.seed)
     made = 0
     attempts = 0
@@ -372,7 +374,7 @@ class InstanceContext:
         return q
 
     def projected_set(self, q: QuotientRing) -> MultiplicativeSet | None:
-        """Image of S in the quotient; None when it degenerates to contain 0."""
+        """Image of S in the quotient; None when its closure reaches 0."""
         gens = tuple(sorted({q.project(g) for g in self.S.gens})) or (q.one,)
         try:
             return mult_closure(q, gens)
@@ -403,16 +405,14 @@ class Statement:
     drops them.  ``unmet(ctx)`` adds details to a hypothesis-not-met report.
     ``records(ctx)``, when set, gives the searcher one
     ``(hypotheses, (ok, details))`` pair per record instead of the
-    instance-wide pair.  ``droppable`` is False when the 0-in-S check that
-    skips an instance already settles every hypothesis, so none is ever
-    false on a searched instance and ``drop-hypothesis`` and ``converse``
-    are unsupported.
+    instance-wide pair.  ``droppable`` is False when every hypothesis holds
+    by construction, so none is ever false on a searched instance and
+    ``drop-hypothesis`` and ``converse`` are unsupported.
 
-    Four hypothesis names are never false on a searched instance, so
-    dropping them finds nothing: ``zero_not_in_S`` and
-    ``nondegenerate_mult_set`` are settled by the 0-in-S check, and
-    ``s_artinian`` and ``s_noetherian`` are always True (every finite ring
-    is S-Artinian and S-Noetherian).
+    Four hypothesis names are never false, so dropping them finds nothing:
+    ``zero_not_in_S`` and ``nondegenerate_mult_set`` hold by construction
+    (a :class:`MultiplicativeSet` never holds 0), and ``s_artinian`` and
+    ``s_noetherian`` hold in every finite ring.
     """
     hypotheses: Callable[[InstanceContext], dict]
     conclusion: Callable[[InstanceContext], tuple[bool, dict]]
@@ -447,8 +447,8 @@ _S_ARTINIAN_NOTE = ("degenerate hypothesis: every finite ring is S-Artinian "
 
 
 def _radical_quotient_cases(ctx: InstanceContext) -> list:
-    # a quotient whose projected set contains 0 has no S-reducedness to
-    # compare, just as an instance with 0 in S has no verdict
+    # a quotient whose projected set would contain 0 has no set, so no
+    # S-reducedness to compare
     return [({"quotient_zero_divisors_avoiding_S": r["hyp_ok"]},
              (r["lhs"] == r["rhs"], {"ideal": r["ideal"], "s_radical": r["lhs"],
                                      "quotient_s_reduced": r["rhs"]}))
@@ -491,7 +491,7 @@ def _intersection_vs_product(ctx: InstanceContext):
 
 @_statement(StatementId.SPECTRUM_S_ZERO,
             lambda ctx: {"s_reduced": ctx.s_reduced.verdict,
-                         "zero_not_in_S": not ctx.S.contains_zero})
+                         "zero_not_in_S": True})
 def _spectrum_s_zero(ctx: InstanceContext):
     inter = spectrum_intersection(ctx.ring, ctx.S, spectrum=ctx.spectrum)
     witnesses = {}
@@ -508,7 +508,7 @@ def _spectrum_s_zero(ctx: InstanceContext):
 
 
 @_statement(StatementId.NILS_IN_COLON,
-            lambda ctx: {"nondegenerate_mult_set": not ctx.S.contains_zero,
+            lambda ctx: {"nondegenerate_mult_set": True,
                          "spectrum_nonempty": bool(ctx.spectrum)})
 def _nils_in_colon(ctx: InstanceContext):
     nil_mask = ctx.nil_s.ideal.mask
@@ -610,32 +610,22 @@ def _product_of_fields(ctx: InstanceContext):
                           "failures": failures}
 
 
-# the hypothesis only shows in the report: check_statement reports 0 in S as
-# degenerate before any statement runs
+# the hypothesis holds by construction and only shows in the report
 @_statement(StatementId.POLY_TRANSFER,
-            lambda ctx: {"nondegenerate_mult_set": not ctx.S.contains_zero},
+            lambda ctx: {"nondegenerate_mult_set": True},
             droppable=False)
 def _poly_transfer(ctx: InstanceContext):
+    # the degree falls from 2 until the coefficient vectors fit in
+    # POLY_BUDGET; degree 0 walks every nilpotent, however many there are
     nilp = sorted(ctx.nilpotents)
     degree = 2
     while degree > 0 and len(nilp) ** (degree + 1) > POLY_BUDGET:
         degree -= 1
-    total = len(nilp) ** (degree + 1)
-    if total <= POLY_BUDGET:
-        vectors = itertools.product(nilp, repeat=degree + 1)
-        mode = "exhaustive"
-        count = total
-    else:
-        rng = random.Random(derive_seed(ctx.cfg.seed, "poly-transfer",
-                                        ctx.instance.label))
-        count = POLY_BUDGET
-        vectors = (tuple(nilp[int(rng.random() * len(nilp))]
-                         for _ in range(degree + 1)) for _ in range(count))
-        mode = "sampled"
+    count = len(nilp) ** (degree + 1)
     poly_ok = True
     violating = None
     killers = ctx.S.killers
-    for vec in vectors:
+    for vec in itertools.product(nilp, repeat=degree + 1):
         common = killers[ctx.ring.zero]
         for c in vec:
             common &= killers[c]
@@ -644,7 +634,7 @@ def _poly_transfer(ctx: InstanceContext):
             violating = [ctx.lit(c) for c in vec]
             break
     ring_ok = ctx.s_reduced.verdict
-    return ring_ok == poly_ok, {"degree": degree, "mode": mode,
+    return ring_ok == poly_ok, {"degree": degree, "mode": "exhaustive",
                                 "polynomials_checked": count,
                                 "ring_s_reduced": ring_ok, "nilpotent_poly_side": poly_ok,
                                 "violating_coefficients": violating}
@@ -799,7 +789,7 @@ def _structure_converse(ctx: InstanceContext):
 
 @_statement(StatementId.NIL_IS_INTERSECTION,
             lambda ctx: {"S_avoids_zero_divisors": not ctx.s_meets_zero_divisors,
-                         "zero_not_in_S": not ctx.S.contains_zero})
+                         "zero_not_in_S": True})
 def _nil_is_intersection(ctx: InstanceContext):
     primes, inter = ctx.primes_missing_s
     return inter == ctx.nil_mask, {
@@ -837,33 +827,27 @@ def check_statement(statement: StatementId, instance: CorpusInstance,
     """Report hypotheses => conclusion on one instance.
 
     The conclusion is evaluated only when every hypothesis and scope bound
-    holds.  An instance with 0 in S is reported as degenerate instead.
+    holds.
     """
     cfg = cfg or VerifyConfig()
     if ctx is None:
         ctx = InstanceContext(instance, cfg)
     start = time.perf_counter()
     stmt = STATEMENTS[statement]
-    if ctx.S.contains_zero:
-        hyp, verdict = {"nondegenerate_mult_set": False}, HYP_NOT_MET
-        details = {"reason": "0 lies in the multiplicative set"}
-        notes = ("degenerate: 0 in S",)
+    bounds = stmt.bounds(ctx)
+    hyp = {**stmt.hypotheses(ctx),
+           **{f"{quantity}<={limit}": value <= limit
+              for quantity, value, limit in bounds}}
+    if all(hyp.values()):
+        ok, details = stmt.conclusion(ctx)
+        verdict = HOLDS if ok else VIOLATED
     else:
-        bounds = stmt.bounds(ctx)
-        notes = stmt.notes
-        hyp = {**stmt.hypotheses(ctx),
-               **{f"{quantity}<={limit}": value <= limit
-                  for quantity, value, limit in bounds}}
-        if all(hyp.values()):
-            ok, details = stmt.conclusion(ctx)
-            verdict = HOLDS if ok else VIOLATED
-        else:
-            verdict = HYP_NOT_MET
-            details = {**{quantity: value for quantity, value, _ in bounds},
-                       **stmt.unmet(ctx)}
+        verdict = HYP_NOT_MET
+        details = {**{quantity: value for quantity, value, _ in bounds},
+                   **stmt.unmet(ctx)}
     runtime = time.perf_counter() - start
     return StatementReport(statement, instance.label, instance.index,
-                           hyp, verdict, details, notes, runtime)
+                           hyp, verdict, details, stmt.notes, runtime)
 
 
 # ---------------------------------------------------------------------------
@@ -981,8 +965,6 @@ def _variant_payload(statement: StatementId, variant: str,
     with a holding one; scope bounds must hold for either.  Their payload
     names the false hypotheses next to the conclusion's details.
     """
-    if instance.mult_set.contains_zero:
-        return None
     ctx = InstanceContext(instance, cfg)
     if variant == "full":
         report = check_statement(statement, instance, cfg, ctx)

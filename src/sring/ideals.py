@@ -44,16 +44,9 @@ class Ideal:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def __contains__(self, x: int) -> bool:
-        return bool((self.mask >> x) & 1)
-
     @property
     def is_proper(self) -> bool:
         return self.size < self.ring.size
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mask == 1
 
     def issubset(self, other: "Ideal") -> bool:
         return self.mask & ~other.mask == 0
@@ -67,8 +60,10 @@ class Ideal:
 
 @dataclass(frozen=True)
 class MultiplicativeSet:
-    """Multiplicatively closed subset containing 1, closed from ``gens``;
-    it holds zero only when :func:`mult_closure` was told to allow it.
+    """Multiplicatively closed subset containing 1, closed from ``gens``.
+
+    It never holds zero: with 0 in S every ideal is S-zero and no ideal is
+    S-prime, so building such a set raises ZeroInClosureError.
 
     ``members``, in ascending index order, and :attr:`killers` are computed
     on first access and kept; neither is a field, so equality and hashing do
@@ -79,13 +74,14 @@ class MultiplicativeSet:
     mask: int
     gens: tuple[int, ...]
 
+    def __post_init__(self):
+        if self.mask & 1:
+            raise ZeroInClosureError(f"multiplicative closure of {self.gens} "
+                                     f"in {self.ring.label} contains zero")
+
     @cached_property
     def members(self) -> tuple[int, ...]:
         return mask_elements(self.mask)
-
-    @property
-    def contains_zero(self) -> bool:
-        return bool(self.mask & 1)
 
     def __contains__(self, x: int) -> bool:
         return bool((self.mask >> x) & 1)
@@ -289,16 +285,14 @@ def is_maximal_ideal(I: Ideal, ideals: list[Ideal]) -> bool:
     return True
 
 
-def mult_closure(ring: FiniteRing, gens, *, allow_zero: bool = False) -> MultiplicativeSet:
+def mult_closure(ring: FiniteRing, gens) -> MultiplicativeSet:
     """Smallest multiplicatively closed set containing ``gens`` and 1.
 
     That set is 1 together with every word g1*g2*...*gk in the generators.
     Each word is a shorter word times one generator, so a worklist that
     right-multiplies every member by every generator reaches them all, in
-    any ring, commutative or not.
-
-    Raises ZeroInClosureError if 0 enters the closure and the flag is unset;
-    such a set makes every downstream predicate degenerate.
+    any ring, commutative or not.  Raises ZeroInClosureError when 0 is one
+    of those words.
     """
     gens = tuple(gens)
     if not gens:
@@ -311,9 +305,6 @@ def mult_closure(ring: FiniteRing, gens, *, allow_zero: bool = False) -> Multipl
             if not (mask >> p) & 1:
                 mask |= 1 << p
                 members.append(p)
-    if (mask & 1) and not allow_zero:
-        raise ZeroInClosureError(
-            f"multiplicative closure of {gens} in {ring.label} contains zero")
     return MultiplicativeSet(ring, mask, gens)
 
 

@@ -7,9 +7,7 @@ least member in an AND of :attr:`MultiplicativeSet.killers` masks; a
 witness into another target (s*ann(a**n) inside ann(a**k)) is the least
 one :meth:`MultiplicativeSet.witness` finds; a purity witness (s*a = a*b)
 is the least s that :meth:`MultiplicativeSet.least_multipliers` maps a*b
-to.  A multiplicative set containing zero has 0 as its least member, so
-every predicate gives the trivial verdict with witness 0, watermarked
-degenerate.
+to.
 
 Bounded-degree zero-product searches never claim anything beyond their
 degree bound and search mode; both fields travel with the verdict.
@@ -82,7 +80,6 @@ class SReducedCertificate:
     witnesses: dict[int, int]
     uniform_witness: int | None
     failing: int | None
-    degenerate: bool = False
 
     def to_json(self, ring: FiniteRing) -> dict:
         return {
@@ -95,7 +92,7 @@ class SReducedCertificate:
             },
             "failing": None if self.failing is None
             else thaw_literal(ring.decode(self.failing)),
-            "degenerate": self.degenerate,
+            "degenerate": False,  # 0 is never in S
         }
 
 
@@ -116,8 +113,7 @@ def is_s_reduced(ring: FiniteRing, S: MultiplicativeSet) -> SReducedCertificate:
             return SReducedCertificate(False, witnesses, None, a)
         witnesses[a] = S.least(mask)
         uniform &= mask
-    return SReducedCertificate(True, witnesses, S.least(uniform), None,
-                               degenerate=S.contains_zero)
+    return SReducedCertificate(True, witnesses, S.least(uniform), None)
 
 
 def is_s_integral_domain(ring: FiniteRing, S: MultiplicativeSet) -> int | None:
@@ -173,14 +169,13 @@ class LocalizationResult:
     ring: FiniteRing
     torsion_kernel: Ideal
     projection: tuple[int, ...]
-    degenerate: bool
 
     def to_json(self, base: FiniteRing) -> dict:
         return {
             "torsion_kernel": [thaw_literal(base.decode(x))
                                for x in self.torsion_kernel.elements],
             "localized_size": self.ring.size,
-            "degenerate": self.degenerate,
+            "degenerate": False,  # 0 is never in S
         }
 
 
@@ -192,16 +187,14 @@ def localize(ring: FiniteRing, S: MultiplicativeSet) -> LocalizationResult:
     torsion = Ideal(ring, mask)
     loc = QuotientRing(ring, mask)
     projection = tuple(loc.project(x) for x in range(ring.size))
-    degenerate = S.contains_zero
-    if not degenerate:
-        for x in range(ring.size):
-            if (projection[x] == loc.zero) != bool((mask >> x) & 1):
-                raise SRingError("localization kernel differs from the torsion ideal")
-        for s in S.members:
-            if not loc.is_unit(projection[s]):
-                raise SRingError(
-                    f"image of {s} is not a unit in the localization of {ring.label}")
-    return LocalizationResult(loc, torsion, projection, degenerate)
+    for x in range(ring.size):
+        if (projection[x] == loc.zero) != bool((mask >> x) & 1):
+            raise SRingError("localization kernel differs from the torsion ideal")
+    for s in S.members:
+        if not loc.is_unit(projection[s]):
+            raise SRingError(
+                f"image of {s} is not a unit in the localization of {ring.label}")
+    return LocalizationResult(loc, torsion, projection)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +571,7 @@ class ArmendarizVerdict:
     per_pair_histogram: dict[int, int]
     per_pair_violation: ArmendarizViolation | None
     uniform_failed_after: int | None
-    degenerate: bool = False
+    degenerate = False  # 0 is never in S; kept for readers of the attribute
 
     @property
     def uniform_ok(self) -> bool:
@@ -624,9 +617,6 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     """
     resolved, src = _vector_pair_source(ring, degree, mode, seed, budget,
                                         exhaustive_budget)
-    if S.contains_zero:
-        return ArmendarizVerdict(degree, resolved, seed, budget, 0, ring.zero,
-                                 True, {}, None, None, degenerate=True)
     mul = ring.mul
     killers = S.killers
     full_mask = killers[ring.zero]

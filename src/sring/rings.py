@@ -154,9 +154,8 @@ OP_TABLE_LIMIT = 256
 class FiniteRing:
     """Total exact arithmetic on canonical element indices.
 
-    Subclasses implement ``add``, ``mul``, ``neg``, ``decode`` and
-    ``encode`` structurally and, where the structure admits something
-    faster than a scan, the ``_solve_all`` equation solver for a*x = t;
+    Subclasses implement ``add``, ``mul``, ``neg``, ``decode``, ``encode``
+    and the ``_solve_all`` equation solver for a*x = t structurally;
     :meth:`_install_op_tables` then rebinds ``add``/``mul``/``neg`` of a
     small carrier to lookups in the tables its ``_op_tables`` composes:
     :class:`ProductRing` folds all three from its factors' tables
@@ -268,7 +267,7 @@ class FiniteRing:
         return self._solve_random(a, t, rng)
 
     def _solve_all(self, a: int, t: int) -> list[int]:
-        return [x for x in range(self.size) if self.mul(a, x) == t]
+        raise NotImplementedError
 
     def _solve_random(self, a: int, t: int, rng: random.Random) -> int | None:
         sols = self._solve_all(a, t)
@@ -321,7 +320,7 @@ class ZModRing(FiniteRing):
         return index
 
     def encode(self, literal):
-        if not isinstance(literal, int):
+        if not isinstance(literal, int) or isinstance(literal, bool):
             raise MalformedExpressionError(
                 f"expected integer literal for {self.label}, got {literal!r}"
             )
@@ -511,9 +510,6 @@ class QuotientRing(FiniteRing):
         return ([proj[base_add(a, b)] for a in reps for b in reps],
                 [proj[base_mul(a, b)] for a in reps for b in reps],
                 [proj[base.neg(a)] for a in reps])
-
-    def lift(self, i: int) -> int:
-        return self._reps[i]
 
     def project(self, x: int) -> int:
         return self._proj[x]

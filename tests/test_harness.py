@@ -6,14 +6,23 @@ import pytest
 
 from sring import (
     CorpusConfig,
+    Idealization,
+    ModuleSpec,
+    Product,
     StatementId,
+    TriangularE,
     VerifyConfig,
+    ZMod,
+    build_ring,
     check_statement,
     counterexample_search,
     generate_corpus,
+    harness,
+    mult_closure,
     run_catalog,
 )
-from sring.harness import HOLDS, HYP_NOT_MET, CorpusInstance
+from sring.harness import HOLDS, HYP_NOT_MET, CorpusInstance, _shrink_candidates
+from sring.rings import expression_label, thaw_literal
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +47,7 @@ def test_default_corpus_layout():
         S = inst.mult_set
         assert inst.ring.size <= 64
         assert inst.ring.one in S.members
-        assert not S.contains_zero
+        assert inst.ring.zero not in S
         for a in S.members:
             for b in S.members:
                 assert inst.ring.mul(a, b) in S
@@ -112,6 +121,17 @@ def test_poly_transfer_equivalence_both_ways(by_label):
     assert neg.verdict == HOLDS
     assert not neg.details["ring_s_reduced"]
     assert not neg.details["nilpotent_poly_side"]
+
+
+def test_poly_transfer_walks_degree_zero_exhaustively(by_label, monkeypatch):
+    # Z24 has 4 nilpotents: with a budget of 2 the degree falls to 0, where
+    # every nilpotent is checked however many there are
+    monkeypatch.setattr(harness, "POLY_BUDGET", 2)
+    report = check_statement(StatementId.POLY_TRANSFER, by_label["z24-pow2"])
+    assert report.verdict == HOLDS
+    assert report.details["degree"] == 0
+    assert report.details["polynomials_checked"] == 4
+    assert report.details["mode"] == "exhaustive"
 
 
 def test_e_ring_entry_gates_on_base_size(by_label):
@@ -307,14 +327,28 @@ def test_search_converse_hopfian_and_unsupported_variant():
     assert not result.supported and not result.found
 
 
-def test_degenerate_set_watermarks_reports():
-    from sring import ZMod, build_ring, mult_closure
-    z4 = build_ring(ZMod(4))
-    degenerate = mult_closure(z4, (2,), allow_zero=True)
-    inst = CorpusInstance("degenerate", "test", z4, degenerate, 0)
-    report = check_statement(StatementId.SPECTRUM_S_ZERO, inst)
-    assert report.verdict == HYP_NOT_MET
-    assert any("degenerate" in n for n in report.notes)
+SHRINK_CASES = [
+    (Product((ZMod(4), ZMod(3))), [(3, 1), (1, 2)],
+     [("Z3", [1, 2]), ("Z4", [3, 1]), ("Z4xZ3", [[1, 2]]), ("Z4xZ3", [[3, 1]])]),
+    (Product((ZMod(4), ZMod(3), ZMod(2))), [(3, 2, 1)],
+     [("Z3xZ2", [[2, 1]]), ("Z4xZ2", [[3, 1]]), ("Z4xZ3", [[3, 2]])]),
+    (Idealization(ZMod(4), ModuleSpec(((0,),))), [(3, (1,))], [("Z4", [3])]),
+    (TriangularE(ZMod(2)), [(1, 1, 0, 0)], [("Z2", [1])]),
+]
+
+
+@pytest.mark.parametrize("expr,gens,expected", SHRINK_CASES,
+                         ids=[expression_label(case[0]) for case in SHRINK_CASES])
+def test_shrink_candidates_on_structured_carriers(expr, gens, expected):
+    """Factor drops, base takes and generator drops, each with the
+    generators projected onto the smaller carrier."""
+    ring = build_ring(expr)
+    S = mult_closure(ring, tuple(ring.encode(g) for g in gens))
+    inst = CorpusInstance("hit", "test", ring, S)
+    candidates = list(_shrink_candidates(inst, 64))
+    assert [(c.ring.label, [thaw_literal(c.ring.decode(g)) for g in c.mult_set.gens])
+            for c in candidates] == expected
+    assert {(c.label, c.origin) for c in candidates} == {("hit~shrunk", "shrunk")}
 
 
 def assert_rebuilds(q):
@@ -328,7 +362,7 @@ def assert_rebuilds(q):
 
 
 def test_quotient_expressions_rebuild_the_quotient(by_label):
-    from sring import Idealization, ModuleSpec, ZMod, build_ring, localize, mult_closure
+    from sring import localize
     from sring.harness import InstanceContext
     from sring.rings import IdealizationRing, QuotientRing
     inst = by_label["z24-pow2"]

@@ -22,7 +22,7 @@ from sring import (
     s_spectrum,
     spectrum_intersection,
 )
-from sring.ideals import Ideal, is_ideal_mask, zero_ideal
+from sring.ideals import Ideal, MultiplicativeSet, is_ideal_mask, zero_ideal
 from sring.rings import ideal_span
 
 
@@ -84,8 +84,12 @@ def test_mult_closure_matches_naive_closure_noncommutative():
     assert not ring.commutative
     for g in range(ring.size):
         for h in range(g, ring.size):
-            got = mult_closure(ring, (g, h), allow_zero=True).members
             naive = _naive_two_sided_closure(ring, {ring.one, g, h}, ring.mul)
+            if ring.zero in naive:
+                with pytest.raises(ZeroInClosureError):
+                    mult_closure(ring, (g, h))
+                continue
+            got = mult_closure(ring, (g, h)).members
             assert got == tuple(sorted(naive)), (g, h)
 
 
@@ -138,10 +142,20 @@ def test_is_prime_ideal(z24):
 def test_mult_closure_examples(z24, z12):
     assert mult_closure(z24, (2,)).members == (1, 2, 4, 8, 16)
     assert mult_closure(z12, (4,)).members == (1, 4)
-    with pytest.raises(ZeroInClosureError):
+    with pytest.raises(ZeroInClosureError,
+                       match=r"^multiplicative closure of \(2,\) in Z4 contains zero$"):
         mult_closure(build_ring(ZMod(4)), (2,))
-    degenerate = mult_closure(build_ring(ZMod(4)), (2,), allow_zero=True)
-    assert degenerate.contains_zero
+
+
+def test_multiplicative_set_never_holds_zero():
+    z4 = build_ring(ZMod(4))
+    # the closure of 2 in Z4 is {0, 1, 2}: bit 0 is set
+    with pytest.raises(ZeroInClosureError,
+                       match=r"^multiplicative closure of \(2,\) in Z4 contains zero$"):
+        MultiplicativeSet(z4, 0b111, (2,))
+    with pytest.raises(ZeroInClosureError):
+        MultiplicativeSet(z4, 0b1, (0,))
+    assert MultiplicativeSet(z4, 0b1010, (3,)) == mult_closure(z4, (3,))
 
 
 def test_s_radical_examples(z24, s24, z12):
@@ -250,7 +264,5 @@ def test_s_minimal_s_primes(z24, s24):
 
 def test_spectrum_intersection(z24, s24):
     assert spectrum_intersection(z24, s24).elements == (0,)
-    z4 = build_ring(ZMod(4))
-    degenerate = mult_closure(z4, (2,), allow_zero=True)
     with pytest.raises(EmptySpectrumError):
-        spectrum_intersection(z4, degenerate)
+        spectrum_intersection(z24, s24, spectrum=[])

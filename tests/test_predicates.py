@@ -116,13 +116,6 @@ def test_localize_z12_and_unit_set(z12, s12):
     assert loc.ring.size == 12
 
 
-def test_localize_degenerate():
-    z4 = build_ring(ZMod(4))
-    degenerate = mult_closure(z4, (2,), allow_zero=True)
-    loc = localize(z4, degenerate)
-    assert loc.degenerate and loc.ring.size == 1
-
-
 def test_s_pure():
     z4 = build_ring(ZMod(4))
     s4 = mult_closure(z4, (3,))

@@ -1,5 +1,7 @@
 """Expression JSON round-trips and instance serialization."""
 
+import json
+
 import pytest
 
 from sring import (
@@ -17,6 +19,7 @@ from sring import (
     mult_closure,
     parse_ring_data,
 )
+from sring.cli import main
 from sring.ringfile import MAX_EXPRESSION_DEPTH
 
 EXPRESSIONS = [
@@ -91,3 +94,22 @@ def test_parse_ring_data_error_text(doc, message):
     with pytest.raises(MalformedExpressionError) as exc:
         parse_ring_data(doc)
     assert str(exc.value) == message
+
+
+# JSON true is a Python bool, itself an int; as an element literal it must be
+# rejected like the other non-integers, as it already is for "n"
+BOOLEAN_LITERALS = {
+    "generators": {"ring": {"type": "zmod", "n": 6}, "mult_set": {"generators": [True]}},
+    "ideal": {"ring": {"type": "quotient", "base": {"type": "zmod", "n": 6},
+                       "ideal": [True]}},
+    "cyclic": {"ring": {"type": "idealization", "base": {"type": "zmod", "n": 4},
+                        "module": {"cyclic": [[True]]}}},
+}
+
+
+@pytest.mark.parametrize("where", BOOLEAN_LITERALS)
+def test_boolean_element_literals_exit_2(tmp_path, capsys, where):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(BOOLEAN_LITERALS[where]))
+    assert main(["describe", str(path)]) == 2
+    assert "expected integer literal" in capsys.readouterr().err

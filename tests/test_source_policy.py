@@ -10,6 +10,12 @@
 - Every keyword-only parameter of a function in the package is passed by
   that name at some call in ``src/``, ``tests/`` or ``bench/``: a setting
   that no caller passes is a constant, and it should be written as one.
+- Every method of a class in the package is read as an attribute, and
+  every module-level function is named, somewhere in ``src/``, ``tests/``
+  or ``bench/`` outside its own definition: code that nothing reaches is
+  deleted, not kept.  Dunders and the conclusions ``_statement`` registers
+  are exempt; matching is by name, so a name read anywhere keeps every
+  definition of it.
 """
 
 import ast
@@ -88,3 +94,52 @@ def unpassed_keywords(sources, callers) -> list[str]:
 def test_every_keyword_only_parameter_is_passed_somewhere():
     assert CALLERS
     assert unpassed_keywords(SOURCES, CALLERS) == []
+
+
+def _definitions(tree: ast.Module):
+    """``(qualified name, node, is_method)`` for each module-level function
+    and each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def _registers_statement(node) -> bool:
+    return any(isinstance(d, ast.Call) and _called_name(d) == "_statement"
+               for d in node.decorator_list)
+
+
+def unreached_definitions(sources, callers) -> list[str]:
+    """Qualified names of the methods in ``sources`` that no ``Attribute``
+    node in ``callers`` reads, and of the module-level functions that no
+    ``Name`` or ``Attribute`` node names, apart from the nodes inside the
+    definition itself."""
+    attributes: dict[str, list[tuple[Path, int]]] = {}
+    names: dict[str, list[tuple[Path, int]]] = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, []).append((path, node.lineno))
+            elif isinstance(node, ast.Name):
+                names.setdefault(node.id, []).append((path, node.lineno))
+    unreached = []
+    for path in sources:
+        for qualname, node, is_method in _definitions(ast.parse(path.read_text())):
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")) or _registers_statement(node):
+                continue
+            reads = attributes.get(name, [])
+            if not is_method:
+                reads = reads + names.get(name, [])
+            inside = range(node.lineno, node.end_lineno + 1)
+            if all(where == path and line in inside for where, line in reads):
+                unreached.append(qualname)
+    return unreached
+
+
+def test_every_function_and_method_is_reached_somewhere():
+    assert unreached_definitions(SOURCES, CALLERS) == []
