@@ -142,8 +142,7 @@ def test_is_prime_ideal(z24):
 def test_mult_closure_examples(z24, z12):
     assert mult_closure(z24, (2,)).members == (1, 2, 4, 8, 16)
     assert mult_closure(z12, (4,)).members == (1, 4)
-    with pytest.raises(ZeroInClosureError,
-                       match=r"^multiplicative closure of \(2,\) in Z4 contains zero$"):
+    with pytest.raises(ZeroInClosureError):
         mult_closure(build_ring(ZMod(4)), (2,))
 
 
