@@ -673,7 +673,7 @@ def _u_s_red_implies_arm(ctx: InstanceContext):
 def _e_ring_armendariz(ctx: InstanceContext):
     e_ring = TriangularERing(ctx.ring)
     constant_quadruples = mult_closure(
-        e_ring, tuple(e_ring._join(s, s, s, s) for s in ctx.S.members))
+        e_ring, tuple(e_ring._join((s, s, s, s)) for s in ctx.S.members))
     return _uniform_test(ctx, "e-ring", e_ring, constant_quadruples)
 
 
@@ -682,8 +682,9 @@ def _e_ring_armendariz(ctx: InstanceContext):
                                  EXTENSION_SIZE_CAP),))
 def _idealization_armendariz(ctx: InstanceContext):
     rr = IdealizationRing(ctx.ring, (QuotientRing(ctx.ring, 1),))
+    # (s*s, s) as the digits (module, base): the module R/(0) indexes s as s
     square_pairs = mult_closure(
-        rr, tuple(rr._join(ctx.ring.mul(s, s), (s,)) for s in ctx.S.members))
+        rr, tuple(rr._join((s, ctx.ring.mul(s, s))) for s in ctx.S.members))
     return _uniform_test(ctx, "idealization", rr, square_pairs)
 
 

@@ -15,7 +15,9 @@ Semantic errors carry the offending key path, which starts at
 to the unit set {1}, which collapses every S-notion to its classical
 counterpart.  An expression may nest at most ``MAX_EXPRESSION_DEPTH``
 nodes deep: ring construction, labels and the solvers recurse once or
-more per level, so a deeper file would overflow the interpreter stack.
+more per level, so a deeper file would overflow the interpreter stack;
+so may freezing an element literal, which nests at most two arrays per
+expression level (``[r, [m_1, ...]]``), hence ``MAX_LITERAL_DEPTH``.
 """
 
 from __future__ import annotations
@@ -35,12 +37,14 @@ from .rings import (
     TriangularE,
     ZMod,
     build_ring,
+    encode_literals,
     freeze_literal,
     thaw_literal,
 )
 
 
 MAX_EXPRESSION_DEPTH = 64
+MAX_LITERAL_DEPTH = 2 * MAX_EXPRESSION_DEPTH
 
 
 def _err(path: str, msg: str):
@@ -54,6 +58,22 @@ def _expect_keys(data: dict, allowed: set[str], required: set[str], path: str):
     for key in required:
         if key not in data:
             _err(path, f"missing required key {key!r}")
+
+
+def _literals(lits: list, path: str) -> tuple:
+    """The element literals ``lits`` frozen, each first checked, without
+    recursion, to nest at most ``MAX_LITERAL_DEPTH`` arrays deep."""
+    out = []
+    for i, lit in enumerate(lits):
+        level, depth = [lit], 0
+        while any(isinstance(x, list) for x in level):
+            depth += 1
+            if depth > MAX_LITERAL_DEPTH:
+                _err(f"{path}[{i}]",
+                     f"element literal nested more than {MAX_LITERAL_DEPTH} levels deep")
+            level = [y for x in level if isinstance(x, list) for y in x]
+        out.append(freeze_literal(lit))
+    return tuple(out)
 
 
 def expression_from_json(data, path: str = "ring", depth: int = 1) -> RingExpression:
@@ -82,7 +102,7 @@ def expression_from_json(data, path: str = "ring", depth: int = 1) -> RingExpres
         if not isinstance(gens, list):
             _err(f"{path}.ideal", "expected an array of element literals")
         return Quotient(expression_from_json(data["base"], f"{path}.base", depth + 1),
-                        tuple(freeze_literal(g) for g in gens))
+                        _literals(gens, f"{path}.ideal"))
     if kind == "idealization":
         _expect_keys(data, {"type", "base", "module"}, {"base", "module"}, path)
         module = data["module"]
@@ -96,7 +116,7 @@ def expression_from_json(data, path: str = "ring", depth: int = 1) -> RingExpres
         for i, comp in enumerate(cyclic):
             if not isinstance(comp, list):
                 _err(f"{path}.module.cyclic[{i}]", "expected an array of element literals")
-            comps.append(tuple(freeze_literal(g) for g in comp))
+            comps.append(_literals(comp, f"{path}.module.cyclic[{i}]"))
         return Idealization(expression_from_json(data["base"], f"{path}.base", depth + 1),
                             ModuleSpec(tuple(comps)))
     if kind == "triangular_e":
@@ -138,13 +158,8 @@ def parse_ring_data(doc, *, size_cap: int = DEFAULT_SIZE_CAP
     gens = ms["generators"]
     if not isinstance(gens, list) or not gens:
         _err("mult_set.generators", "expected a nonempty array of element literals")
-    idx = []
-    for i, lit in enumerate(gens):
-        try:
-            idx.append(ring.encode(freeze_literal(lit)))
-        except MalformedExpressionError as exc:
-            _err(f"mult_set.generators[{i}]", str(exc))
-    return ring, mult_closure(ring, tuple(idx))
+    path = "mult_set.generators"
+    return ring, mult_closure(ring, encode_literals(ring, _literals(gens, path), path))
 
 
 def parse_ring_file(file_path, *, size_cap: int = DEFAULT_SIZE_CAP

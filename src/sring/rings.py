@@ -5,16 +5,16 @@ is computed structurally from the expression (residues, tuples, cosets), so
 rings with tens of thousands of elements stay cheap to construct.  For
 carriers up to 256 elements :class:`FiniteRing` binds ``add``/``mul``/``neg``
 to flat operation tables, the one place where table and structure meet;
-larger carriers call the structured methods directly, and a triangular
-carrier's methods run digit by digit on its base's flat tables.  No carrier
-fills its tables entry by entry through the structured arithmetic: product,
-idealization and triangular indices are mixed-radix, so their ``add`` and
-``neg`` tables (and the product's ``mul``) are Kronecker folds of their
-components' tables, the idealization and triangular ``mul`` rows are sums
-of a few structured products, and a quotient projects base operations on
-its representatives.  A quotient built from a bitmask alone names every
-element of its ideal in its expression, so :func:`build_ring` realizes any
-carrier's expression again.  An
+larger carriers call the structured methods directly.  No carrier fills its
+tables entry by entry through the structured arithmetic.  Product,
+idealization and triangular carriers are one :class:`MixedRadixRing`: their
+indices are mixed-radix over component rings, so their ``add`` and ``neg``
+tables (and the product's ``mul``) are Kronecker folds of their components'
+tables, the idealization and triangular ``mul`` rows are sums of a few
+structured products, and they negate by lookup at every size.  A quotient
+projects base operations on its representatives, and built from a bitmask
+alone it names every element of its ideal in its expression, so
+:func:`build_ring` realizes any carrier's expression again.  An
 idealization is its base ring acting on one module ring, the product of its
 cyclic components, so each of its operations and solvers takes one path
 whatever the shape of the module.  Only the idealization and triangular
@@ -158,13 +158,14 @@ class FiniteRing:
     and the ``_solve_all`` equation solver for a*x = t structurally;
     :meth:`_install_op_tables` then rebinds ``add``/``mul``/``neg`` of a
     small carrier to lookups in the tables its ``_op_tables`` composes:
-    :class:`ProductRing` folds all three from its factors' tables
-    (:func:`_digitwise_table`), :class:`IdealizationRing` and
-    :class:`TriangularERing` fold ``add`` and ``neg`` the same way and sum
-    ``mul`` rows from left products with single digits
-    (:func:`_mixed_radix_tables`), and :class:`QuotientRing` projects one
-    base operation per entry.  Left distributivity is built into the
-    composed idealization and triangular ``mul`` tables, so for those
+    a :class:`MixedRadixRing` folds ``add`` and ``neg`` from its digits'
+    tables (:func:`_digitwise_table`) and takes ``mul`` from its
+    ``_mul_table`` (a digitwise fold for :class:`ProductRing`; for
+    :class:`IdealizationRing` and :class:`TriangularERing`, rows summed
+    from left products with single digits), and :class:`QuotientRing`
+    projects one base operation per entry.  A mixed-radix carrier binds
+    ``neg`` to its table at every size.  Left distributivity is built into
+    the composed idealization and triangular ``mul`` tables, so for those
     carriers the oracle for the structured ``mul`` is a comparison of the
     tables with the structured arithmetic, not ``verify_ring_axioms`` on
     the tables.
@@ -178,7 +179,7 @@ class FiniteRing:
     the large carriers the Armendariz statements sample (111,581 and
     161,164 calls in ``verify --all --seed 42 --budget 5000``), and drawing
     from their complete lists made those statements about 40% and 48%
-    slower.  A triangular carrier above ``OP_TABLE_LIMIT`` computes, and
+    slower.  A triangular carrier above ``OP_TABLE_LIMIT`` multiplies, and
     solves, digit by digit on its base's flat tables (see
     :class:`TriangularERing`).  No workload samples a large Z_n, product or
     quotient carrier.  The degree-1 pair sampler reads the solution lists
@@ -281,7 +282,7 @@ class FiniteRing:
     def __reduce__(self):
         # the expression was realized under its cap and its axioms sampled
         # when this ring was built, so the copy needs neither
-        return _realize, (self.expression, math.inf)
+        return _realize, (self.expression, math.inf, "ring")
 
     @property
     def label(self) -> str:
@@ -299,8 +300,8 @@ def require_commutative(ring: FiniteRing, what: str) -> None:
 
 
 class ZModRing(FiniteRing):
-    def __init__(self, n: int, expression=None):
-        super().__init__(n, expression if expression is not None else ZMod(n), 1 % n)
+    def __init__(self, n: int):
+        super().__init__(n, ZMod(n), 1 % n)
         self.n = n
         self._solve_cache: dict[int, tuple[int, int, int]] = {}
 
@@ -344,66 +345,106 @@ class ZModRing(FiniteRing):
         return [x0 + k * m for k in range(g)]
 
 
-class ProductRing(FiniteRing):
-    def __init__(self, factors: tuple[FiniteRing, ...], expression=None):
-        self.factors = tuple(factors)
-        size = math.prod(f.size for f in self.factors)
-        if expression is None:
-            expression = Product(tuple(f.expression for f in self.factors))
-        one = self._join(tuple(f.one for f in self.factors))
-        super().__init__(size, expression, one)
-        self.commutative = all(f.commutative for f in self.factors)
-        self._install_op_tables()
+class MixedRadixRing(FiniteRing):
+    """A carrier indexed mixed-radix over the rings ``digits``, least
+    significant first (see :func:`_digitwise_table`), whose addition and
+    negation act digit by digit.  Its ``neg`` table has only ``size``
+    entries, so ``neg`` is a lookup at every size; the structured ``add``
+    and ``neg`` are the reference the tables are tested against."""
+
+    def __init__(self, digits: tuple[FiniteRing, ...], expression, one_digits):
+        self.digits = tuple(digits)
+        super().__init__(math.prod(f.size for f in self.digits), expression,
+                         self._join(one_digits))
+
+    def _install_op_tables(self) -> None:
+        super()._install_op_tables()
+        if self.size > OP_TABLE_LIMIT:
+            self.neg = _digitwise_neg(self.digits).__getitem__
 
     def _op_tables(self) -> tuple[list[int], list[int], list[int]]:
-        """Every operation acts componentwise, so all three tables are
-        digitwise folds over the factors, the first factor least
-        significant; factor k costs size_k**2 calls to each of its own
-        ``add`` and ``mul``."""
-        return (_digitwise_table(self.factors, "add"),
-                _digitwise_table(self.factors, "mul"),
-                _digitwise_neg(self.factors))
+        add_t = _digitwise_table(self.digits, "add")
+        return add_t, self._mul_table(add_t), _digitwise_neg(self.digits)
+
+    def _mul_table(self, add_t: list[int]) -> list[int]:
+        """The flat ``mul`` table, from the structured ``mul`` and ``add_t``.
+
+        An element y is the sum of its digits embedded at their weights,
+        y = sum of y_k * w_k, and left multiplication is additive, so x*y is
+        the sum over k of x*(y_k * w_k).  The row of x folds those partial
+        products digit by digit through the ``add`` table: it costs
+        sum(size_k) calls to the structured ``mul`` and about one table
+        lookup per entry.  Left distributivity is built into this table, so
+        it equals the entry-by-entry one exactly when the structured ``mul``
+        is left distributive.
+        """
+        n = self.size
+        mul = self.mul
+        add_rows = [add_t[v * n:(v + 1) * n] for v in range(n)]
+        mul_t: list[int] = []
+        for x in range(n):
+            row = [0]
+            w = 1
+            for f in self.digits:
+                row = [s for y in range(0, f.size * w, w)
+                       for s in map(add_rows[mul(x, y)].__getitem__, row)]
+                w *= f.size
+            mul_t.extend(row)
+        return mul_t
 
     def _split(self, i: int) -> tuple[int, ...]:
         parts = []
-        for f in self.factors:
+        for f in self.digits:
             i, p = divmod(i, f.size)
             parts.append(p)
         return tuple(parts)
 
     def _join(self, parts) -> int:
         i = 0
-        for f, p in zip(reversed(self.factors), reversed(tuple(parts))):
+        for f, p in zip(reversed(self.digits), reversed(tuple(parts))):
             i = i * f.size + p
         return i
 
     def add(self, a, b):
         xs, ys = self._split(a), self._split(b)
-        return self._join(f.add(x, y) for f, x, y in zip(self.factors, xs, ys))
+        return self._join(f.add(x, y) for f, x, y in zip(self.digits, xs, ys))
+
+    def neg(self, a):
+        return self._join(f.neg(x) for f, x in zip(self.digits, self._split(a)))
+
+
+class ProductRing(MixedRadixRing):
+    """Direct product of the rings ``digits``; every operation acts digitwise."""
+
+    def __init__(self, factors: tuple[FiniteRing, ...]):
+        super().__init__(factors, Product(tuple(f.expression for f in factors)),
+                         tuple(f.one for f in factors))
+        self.commutative = all(f.commutative for f in self.digits)
+        self._install_op_tables()
+
+    def _mul_table(self, add_t: list[int]) -> list[int]:
+        # factor k costs size_k**2 calls to its own mul
+        return _digitwise_table(self.digits, "mul")
 
     def mul(self, a, b):
         xs, ys = self._split(a), self._split(b)
-        return self._join(f.mul(x, y) for f, x, y in zip(self.factors, xs, ys))
-
-    def neg(self, a):
-        xs = self._split(a)
-        return self._join(f.neg(x) for f, x in zip(self.factors, xs))
+        return self._join(f.mul(x, y) for f, x, y in zip(self.digits, xs, ys))
 
     def decode(self, index):
-        return tuple(f.decode(x) for f, x in zip(self.factors, self._split(index)))
+        return tuple(f.decode(x) for f, x in zip(self.digits, self._split(index)))
 
     def encode(self, literal):
         literal = freeze_literal(literal)
-        if not isinstance(literal, tuple) or len(literal) != len(self.factors):
+        if not isinstance(literal, tuple) or len(literal) != len(self.digits):
             raise MalformedExpressionError(
-                f"expected {len(self.factors)}-tuple literal for {self.label}, got {literal!r}"
+                f"expected {len(self.digits)}-tuple literal for {self.label}, got {literal!r}"
             )
-        return self._join(f.encode(x) for f, x in zip(self.factors, literal))
+        return self._join(f.encode(x) for f, x in zip(self.digits, literal))
 
     def _solve_all(self, a, t):
         xs, ts = self._split(a), self._split(t)
         per_factor = []
-        for f, x, u in zip(self.factors, xs, ts):
+        for f, x, u in zip(self.digits, xs, ts):
             sols = f.solve_mul_all(x, u)
             if not sols:
                 return []
@@ -439,40 +480,9 @@ def _digitwise_neg(digits) -> list[int]:
     neg = [0]
     w = 1
     for f in digits:
-        neg = [f.neg(p) * w + u for p in range(f.size) for u in neg]
+        neg = [v + u for v in [f.neg(p) * w for p in range(f.size)] for u in neg]
         w *= f.size
     return neg
-
-
-def _mixed_radix_tables(ring: FiniteRing, digits
-                        ) -> tuple[list[int], list[int], list[int]]:
-    """The ``add``, ``mul`` and ``neg`` tables of ``ring``, whose indices are
-    mixed-radix over ``digits`` as in :func:`_digitwise_table` and whose
-    addition and negation act digit by digit.
-
-    ``add`` and ``neg`` are digitwise folds.  For ``mul``, an element y is
-    the sum of its digits embedded at their weights, y = sum of y_k * w_k,
-    and left multiplication is additive, so x*y is the sum over k of
-    x*(y_k * w_k).  The row of x folds those partial products digit by
-    digit through the ``add`` table: it costs sum(size_k) calls to the
-    structured ``mul`` and about one table lookup per entry.  Left
-    distributivity is built into this table, so it equals the entry-by-entry
-    one exactly when the structured ``mul`` is left distributive.
-    """
-    n = ring.size
-    mul = ring.mul
-    add_t = _digitwise_table(digits, "add")
-    add_rows = [add_t[v * n:(v + 1) * n] for v in range(n)]
-    mul_t: list[int] = []
-    for x in range(n):
-        row = [0]
-        w = 1
-        for f in digits:
-            row = [s for y in range(0, f.size * w, w)
-                   for s in map(add_rows[mul(x, y)].__getitem__, row)]
-            w *= f.size
-        mul_t.extend(row)
-    return add_t, mul_t, _digitwise_neg(digits)
 
 
 class QuotientRing(FiniteRing):
@@ -539,17 +549,18 @@ class QuotientRing(FiniteRing):
         return sorted(seen)
 
 
-class IdealizationRing(FiniteRing):
+class IdealizationRing(MixedRadixRing):
     """Pairs (r, m): the base ring R acting on the module ring M.
 
     M is the :class:`ProductRing` of the cyclic components R/J_k, and R acts
     through ``act[r]`` = (r + J_1, ..., r + J_k); then r*m is the product
     act[r]*m in M, kept for every pair in ``_scaled``, indexed like the
-    carrier itself.  Index r * |M| + m names (r, m), and
-    (r1, m1)(r2, m2) = (r1r2, r1m2 + r2m1), so (0, m) squares to zero.  Every
-    operation is one base operation and one module operation, whatever the
-    number of components.  Built without an expression, it names each
-    component by its quotient's ideal, so :func:`build_ring` realizes it.
+    carrier itself.  The digits are (M, R), so index r * |M| + m names
+    (r, m), and (r1, m1)(r2, m2) = (r1r2, r1m2 + r2m1), so (0, m) squares to
+    zero.  Every operation is one base operation and one module operation,
+    whatever the number of components.  Built without an expression, it
+    names each component by its quotient's ideal, so :func:`build_ring`
+    realizes it.
     """
 
     def __init__(self, base: FiniteRing, components: tuple[QuotientRing, ...],
@@ -558,32 +569,14 @@ class IdealizationRing(FiniteRing):
         self.module = module = ProductRing(tuple(components))
         self.module_size = ms = module.size
         if expression is None:
-            spec = ModuleSpec(tuple(c.expression.ideal for c in module.factors))
+            spec = ModuleSpec(tuple(c.expression.ideal for c in module.digits))
             expression = Idealization(base.expression, spec)
-        super().__init__(base.size * ms, expression, base.one * ms)
+        super().__init__((module, base), expression, (0, base.one))
         self.commutative = base.commutative
-        self._act = [module._join(c.project(r) for c in module.factors)
+        self._act = [module._join(c.project(r) for c in module.digits)
                      for r in range(base.size)]
         self._scaled = [module.mul(u, m) for u in self._act for m in range(ms)]
         self._install_op_tables()
-
-    def _op_tables(self) -> tuple[list[int], list[int], list[int]]:
-        # an index is r * |M| + m: the module digit is the less significant
-        return _mixed_radix_tables(self, (self.module, self.base))
-
-    def _join(self, r: int, parts) -> int:
-        return r * self.module_size + self.module._join(parts)
-
-    def add(self, a, b):
-        ms = self.module_size
-        r1, m1 = divmod(a, ms)
-        r2, m2 = divmod(b, ms)
-        return self.base.add(r1, r2) * ms + self.module.add(m1, m2)
-
-    def neg(self, a):
-        ms = self.module_size
-        r, m = divmod(a, ms)
-        return self.base.neg(r) * ms + self.module.neg(m)
 
     def mul(self, a, b):
         ms = self.module_size
@@ -604,10 +597,10 @@ class IdealizationRing(FiniteRing):
                 f"expected [r, [components...]] literal for {self.label}, got {literal!r}"
             )
         r_lit, m_lits = literal
-        if not isinstance(m_lits, tuple) or len(m_lits) != len(self.module.factors):
+        if not isinstance(m_lits, tuple) or len(m_lits) != len(self.module.digits):
             raise MalformedExpressionError(
                 f"module part of an {self.label} literal must list "
-                f"{len(self.module.factors)} component(s), got {m_lits!r}"
+                f"{len(self.module.digits)} component(s), got {m_lits!r}"
             )
         return self.base.encode(r_lit) * self.module_size + self.module.encode(m_lits)
 
@@ -646,7 +639,7 @@ class IdealizationRing(FiniteRing):
         return None
 
 
-class TriangularERing(FiniteRing):
+class TriangularERing(MixedRadixRing):
     """Quadruples with the upper-triangular constant-diagonal product law.
 
     Noncommutative for bases with more than one element (the b1*d2 cross
@@ -654,60 +647,24 @@ class TriangularERing(FiniteRing):
     commutativity may be used on this carrier.
 
     An index is four base digits (a, b, c, d), d the least significant.
-    Arithmetic and the solvers run on flat tables of the base: its ``neg``
-    and, indexed p * n + q for base elements p and q, its ``add``, ``mul``
-    and ``sub`` and its complete solution lists of p*x = q.  So even a
-    carrier above ``OP_TABLE_LIMIT`` makes no call into its base per digit.
+    Multiplication and the solvers run on flat tables of the base: indexed
+    p * n + q for base elements p and q, its ``add``, ``mul`` and ``sub``
+    and its complete solution lists of p*x = q.  So even above
+    ``OP_TABLE_LIMIT`` they make no call into the base per digit.
     """
 
-    def __init__(self, base: FiniteRing, expression=None):
+    def __init__(self, base: FiniteRing):
         self.base = base
         n = base.size
-        if expression is None:
-            expression = TriangularE(base.expression)
-        super().__init__(n ** 4, expression, base.one * n ** 3)
+        super().__init__((base,) * 4, TriangularE(base.expression),
+                         (0, 0, 0, base.one))
         self.commutative = base.size == 1
         self._add_t = _digitwise_table((base,), "add")
         self._mul_t = _digitwise_table((base,), "mul")
         self._sub_t = _digitwise_table((base,), "sub")
-        self._neg_t = _digitwise_neg((base,))
         self._solutions_t = [base.solve_mul_all(p, q)
                              for p in range(n) for q in range(n)]
         self._install_op_tables()
-
-    def _op_tables(self) -> tuple[list[int], list[int], list[int]]:
-        return _mixed_radix_tables(self, (self.base,) * 4)
-
-    def _split(self, i: int) -> tuple[int, int, int, int]:
-        n = self.base.size
-        i, d = divmod(i, n)
-        i, c = divmod(i, n)
-        a, b = divmod(i, n)
-        return a, b, c, d
-
-    def _join(self, a: int, b: int, c: int, d: int) -> int:
-        n = self.base.size
-        return ((a * n + b) * n + c) * n + d
-
-    def add(self, x, y):
-        n = self.base.size
-        at = self._add_t
-        x, d1 = divmod(x, n)
-        x, c1 = divmod(x, n)
-        a1, b1 = divmod(x, n)
-        y, d2 = divmod(y, n)
-        y, c2 = divmod(y, n)
-        a2, b2 = divmod(y, n)
-        return (((at[a1 * n + a2] * n + at[b1 * n + b2]) * n
-                 + at[c1 * n + c2]) * n + at[d1 * n + d2])
-
-    def neg(self, x):
-        n = self.base.size
-        nt = self._neg_t
-        x, d = divmod(x, n)
-        x, c = divmod(x, n)
-        a, b = divmod(x, n)
-        return ((nt[a] * n + nt[b]) * n + nt[c]) * n + nt[d]
 
     def mul(self, x, y):
         # (a1 b1 c1; 0 a1 d1; 0 0 a1)(a2 b2 c2; 0 a2 d2; 0 0 a2) =
@@ -728,7 +685,7 @@ class TriangularERing(FiniteRing):
         return ((a * n + b) * n + c) * n + d
 
     def decode(self, index):
-        return tuple(self.base.decode(x) for x in self._split(index))
+        return tuple(self.base.decode(x) for x in reversed(self._split(index)))
 
     def encode(self, literal):
         literal = freeze_literal(literal)
@@ -736,8 +693,7 @@ class TriangularERing(FiniteRing):
             raise MalformedExpressionError(
                 f"expected [a,b,c,d] literal for {self.label}, got {literal!r}"
             )
-        a, b, c, d = (self.base.encode(x) for x in literal)
-        return self._join(a, b, c, d)
+        return self._join(reversed([self.base.encode(x) for x in literal]))
 
     def _equations(self, alpha, tau) -> tuple[int, ...]:
         """The digits of alpha = (a, b, c, d) and tau = (t0, t1, t2, t3).
@@ -879,7 +835,7 @@ def build_ring(expr: RingExpression, *, size_cap: int = DEFAULT_SIZE_CAP) -> Fin
     A cheap seeded sample of the ring axioms runs on every construction;
     the exhaustive suite lives in :func:`verify_ring_axioms`.
     """
-    ring = _realize(expr, size_cap)
+    ring = _realize(expr, size_cap, "ring")
     if ring.size > size_cap:
         raise SizeCapExceededError(
             f"ring size {ring.size} exceeds cap {size_cap}")
@@ -887,42 +843,49 @@ def build_ring(expr: RingExpression, *, size_cap: int = DEFAULT_SIZE_CAP) -> Fin
     return ring
 
 
-def _realize(expr, size_cap: int) -> FiniteRing:
+def encode_literals(ring: FiniteRing, literals, path: str) -> tuple[int, ...]:
+    """The indices of the element ``literals`` of ``ring``; a literal that
+    does not encode is reported at ``path[i]``, i its position."""
+    out = []
+    for i, lit in enumerate(literals):
+        try:
+            out.append(ring.encode(lit))
+        except MalformedExpressionError as exc:
+            raise MalformedExpressionError(f"{path}[{i}]: {exc}") from exc
+    return tuple(out)
+
+
+def _realize(expr, size_cap: int, path: str) -> FiniteRing:
+    """The ring of ``expr``, the node at key path ``path`` of a ring file."""
     if isinstance(expr, ZMod):
         if not isinstance(expr.n, int) or expr.n < 2:
             raise MalformedExpressionError(f"zmod requires integer n >= 2, got {expr.n!r}")
         if expr.n > size_cap:
             raise SizeCapExceededError(f"zmod size {expr.n} exceeds cap {size_cap}")
-        return ZModRing(expr.n, expr)
+        return ZModRing(expr.n)
     if isinstance(expr, Product):
         if not expr.factors:
             raise MalformedExpressionError("product requires at least one factor")
-        factors = tuple(_realize(f, size_cap) for f in expr.factors)
+        factors = tuple(_realize(f, size_cap, f"{path}.factors[{i}]")
+                        for i, f in enumerate(expr.factors))
         size = math.prod(f.size for f in factors)
         if size > size_cap:
             raise SizeCapExceededError(f"product size {size} exceeds cap {size_cap}")
-        return ProductRing(factors, expr)
+        return ProductRing(factors)
     if isinstance(expr, Quotient):
-        base = _realize(expr.base, size_cap)
-        try:
-            gens = tuple(base.encode(g) for g in expr.ideal)
-        except MalformedExpressionError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - surface as a parse problem
-            raise MalformedExpressionError(
-                f"invalid quotient generator for {base.label}: {exc}") from exc
-        mask = ideal_span(base, gens)
+        base = _realize(expr.base, size_cap, f"{path}.base")
+        mask = ideal_span(base, encode_literals(base, expr.ideal, f"{path}.ideal"))
         ring = QuotientRing(base, mask, expr)
         if ring.size == 1:
             raise MalformedExpressionError(
                 f"quotient of {base.label} by the unit ideal collapses to the zero ring")
         return ring
     if isinstance(expr, Idealization):
-        base = _realize(expr.base, size_cap)
+        base = _realize(expr.base, size_cap, f"{path}.base")
         comps = []
-        for comp_gens in expr.module.cyclic:
-            mask = ideal_span(base, [base.encode(g) for g in comp_gens])
-            comps.append(QuotientRing(base, mask))
+        for k, comp_gens in enumerate(expr.module.cyclic):
+            gens = encode_literals(base, comp_gens, f"{path}.module.cyclic[{k}]")
+            comps.append(QuotientRing(base, ideal_span(base, gens)))
         if not comps:
             raise MalformedExpressionError("idealization module needs >= 1 cyclic component")
         size = base.size * math.prod(c.size for c in comps)
@@ -930,12 +893,12 @@ def _realize(expr, size_cap: int) -> FiniteRing:
             raise SizeCapExceededError(f"idealization size {size} exceeds cap {size_cap}")
         return IdealizationRing(base, tuple(comps), expr)
     if isinstance(expr, TriangularE):
-        base = _realize(expr.base, size_cap)
+        base = _realize(expr.base, size_cap, f"{path}.base")
         size = base.size ** 4
         if size > size_cap:
             raise SizeCapExceededError(
                 f"triangular carrier size {size} exceeds cap {size_cap}")
-        return TriangularERing(base, expr)
+        return TriangularERing(base)
     raise MalformedExpressionError(f"unknown expression node {expr!r}")
 
 

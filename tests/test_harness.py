@@ -375,8 +375,8 @@ def test_quotient_expressions_rebuild_the_quotient(by_label):
         assert 1 < loc.size < 24
         quotients.append(loc)
     rr = build_ring(Idealization(ZMod(12), ModuleSpec(((4,), (0,), (6, 9)))))
-    quotients += rr.module.factors
-    quotients += IdealizationRing(z24, (QuotientRing(z24, 1),)).module.factors
+    quotients += rr.module.digits
+    quotients += IdealizationRing(z24, (QuotientRing(z24, 1),)).module.digits
     # an idealization built from its components names each by its quotient:
     # Z4 (+) Z4/(2) has 8 elements
     z4 = build_ring(ZMod(4))

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sring import (
     Idealization,
@@ -10,6 +12,7 @@ from sring import (
     ModuleSpec,
     Product,
     Quotient,
+    SRingError,
     TriangularE,
     ZMod,
     build_ring,
@@ -20,7 +23,7 @@ from sring import (
     parse_ring_data,
 )
 from sring.cli import main
-from sring.ringfile import MAX_EXPRESSION_DEPTH
+from sring.ringfile import MAX_EXPRESSION_DEPTH, MAX_LITERAL_DEPTH
 
 EXPRESSIONS = [
     ZMod(24),
@@ -85,6 +88,11 @@ PARSE_ERRORS = [
     ({"ring": {"type": "product", "factors": [{"type": "zmod", "n": 4}] * 2},
       "mult_set": {"generators": [3]}},
      "mult_set.generators[0]: expected 2-tuple literal for Z4xZ4, got 3"),
+    ({"ring": {"type": "quotient", "base": {"type": "zmod", "n": 6}, "ideal": [[1]]}},
+     "ring.ideal[0]: expected integer literal for Z6, got (1,)"),
+    ({"ring": {"type": "idealization", "base": {"type": "zmod", "n": 4},
+               "module": {"cyclic": [[[2]]]}}},
+     "ring.module.cyclic[0][0]: expected integer literal for Z4, got (2,)"),
 ]
 
 
@@ -113,3 +121,99 @@ def test_boolean_element_literals_exit_2(tmp_path, capsys, where):
     path.write_text(json.dumps(BOOLEAN_LITERALS[where]))
     assert main(["describe", str(path)]) == 2
     assert "expected integer literal" in capsys.readouterr().err
+
+
+def _nested(depth):
+    lit = 1
+    for _ in range(depth):
+        lit = [lit]
+    return lit
+
+
+# the JSON decoder accepts about 985 levels, but freezing a literal recurses
+# twice per level
+DEEP_LITERALS = {
+    "mult_set.generators[0]": {"ring": {"type": "zmod", "n": 6},
+                               "mult_set": {"generators": [_nested(600)]}},
+    "ring.ideal[0]": {"ring": {"type": "quotient", "base": {"type": "zmod", "n": 6},
+                               "ideal": [_nested(600)]}},
+}
+
+
+@pytest.mark.parametrize("where", DEEP_LITERALS)
+def test_deeply_nested_literals_exit_2(tmp_path, capsys, where):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(DEEP_LITERALS[where]))
+    assert main(["describe", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {where}: element literal nested more than {MAX_LITERAL_DEPTH} "
+        "levels deep\n")
+
+
+# wrong-typed values: JSON true/false, floats, null, strings, huge and
+# negative integers
+JUNK = st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=3),
+                 st.integers(-10 ** 30, 10 ** 30))
+
+
+def _mostly(good, bad=JUNK):
+    """``good`` about seven times in eight, else ``bad`` (a plain ``one_of``
+    would weigh each of JUNK's branches like ``good``)."""
+    return st.sampled_from((good,) * 7 + (bad,)).flatmap(lambda s: s)
+
+
+def _lists_up_to(leaf, depth):
+    strategy = leaf
+    for _ in range(depth):
+        strategy = st.one_of(leaf, st.lists(strategy, max_size=3))
+    return strategy
+
+
+LITERALS = _lists_up_to(_mostly(st.integers(-4, 12)), 8)
+
+
+def _node(kind, **fields):
+    """An expression node of type ``kind``, sometimes with a wrong type name
+    or an unknown key."""
+    fields = {"type": st.just(kind), **fields}
+    return _mostly(st.fixed_dictionaries(fields),
+                   st.one_of(st.fixed_dictionaries({**fields, "type": JUNK}),
+                             st.fixed_dictionaries({**fields, "extra": JUNK})))
+
+
+def _expressions(children):
+    base = _mostly(children)
+    literal_list = _mostly(st.lists(LITERALS, max_size=3))
+    cyclic = _mostly(st.lists(literal_list, min_size=1, max_size=2))
+    module = _mostly(st.fixed_dictionaries({"cyclic": cyclic}),
+                     st.fixed_dictionaries({"cyclic": cyclic, "extra": JUNK}))
+    return st.one_of(
+        _node("product", factors=_mostly(st.lists(children, min_size=1, max_size=3))),
+        _node("quotient", base=base, ideal=literal_list),
+        _node("idealization", base=base, module=module),
+        _node("triangular_e", base=base),
+    )
+
+
+EXPRESSION_DOCS = st.recursive(
+    _node("zmod", n=_mostly(st.integers(2, 12))), _expressions, max_leaves=4)
+MULT_SET = st.fixed_dictionaries(
+    {"generators": _mostly(st.lists(LITERALS, min_size=1, max_size=3))})
+RING_DOCS = _mostly(
+    st.one_of(st.fixed_dictionaries({"ring": EXPRESSION_DOCS}),
+              st.fixed_dictionaries({"ring": EXPRESSION_DOCS, "mult_set": MULT_SET})),
+    st.one_of(LITERALS,
+              st.fixed_dictionaries({"ring": EXPRESSION_DOCS, "mult_set": JUNK}),
+              st.fixed_dictionaries({"ring": EXPRESSION_DOCS, "extra": JUNK}),
+              st.fixed_dictionaries({"ring": EXPRESSION_DOCS, "mult_set": st.fixed_dictionaries(
+                  {"generators": st.lists(LITERALS), "extra": JUNK})})))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(RING_DOCS)
+def test_parse_ring_data_returns_an_instance_or_an_sring_error(doc):
+    try:
+        ring, S = parse_ring_data(doc, size_cap=512)
+    except SRingError:
+        return
+    assert ring.size <= 512 and S.members

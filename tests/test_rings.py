@@ -20,7 +20,7 @@ from sring import (
     verify_ring_axioms,
     zero_divisor_set,
 )
-from sring.rings import ProductRing, TriangularERing, ZModRing, _quick_axiom_sample
+from sring.rings import MixedRadixRing, TriangularERing, ZModRing, _quick_axiom_sample
 
 
 def test_zmod_basics(z24):
@@ -243,14 +243,14 @@ def test_zero_divisors_against_scan():
 
 
 def _without_tables(ring):
-    """Copy of ``ring`` whose arithmetic walks the structure (product
-    factors, base and module included) instead of the table lookups bound
+    """Copy of ``ring`` whose arithmetic walks the structure (mixed-radix
+    digits, base and module included) instead of the table lookups bound
     on the instance."""
     plain = copy.copy(ring)
     for op in ("add", "mul", "neg"):
         vars(plain).pop(op, None)
-    if isinstance(ring, ProductRing):
-        plain.factors = tuple(_without_tables(f) for f in ring.factors)
+    if isinstance(ring, MixedRadixRing):
+        plain.digits = tuple(_without_tables(f) for f in ring.digits)
     for part in ("base", "module"):
         if hasattr(ring, part):
             setattr(plain, part, _without_tables(getattr(ring, part)))
@@ -282,6 +282,20 @@ def test_operation_tables_match_structured_arithmetic():
             for b in range(n):
                 assert ring.add(a, b) == plain.add(a, b), (ring.label, a, b)
                 assert ring.mul(a, b) == plain.mul(a, b), (ring.label, a, b)
+
+
+def test_large_composite_carriers_negate_by_table():
+    cases = [
+        Z24_IDEALIZATION,  # 576
+        TriangularE(ZMod(5)),  # 625
+        Product((ZMod(16), ZMod(17))),  # 272
+    ]
+    for expr in cases:
+        ring = build_ring(expr)
+        assert ring.size > 256 and "neg" in vars(ring), ring.label
+        plain = _without_tables(ring)
+        for a in range(ring.size):
+            assert ring.neg(a) == plain.neg(a), (ring.label, a)
 
 
 def test_triangular_mul_table_is_composed_from_rows(monkeypatch):
