@@ -156,7 +156,7 @@ def _cmd_spectrum(args) -> int:
          "colon_prime": [_lit(ring, x) for x in w.colon_prime.elements]}
         for I, w in spectrum
     ]
-    inter = spectrum_intersection(ring, S, spectrum=spectrum)
+    inter = spectrum_intersection(ring, spectrum)
     _emit({
         "manifest": _manifest(args.seed, {"ring_size": args.cap,
                                           "ideal_count": args.ideal_cap},

@@ -273,7 +273,6 @@ class InstanceContext:
         self.cfg = cfg
         self.ring = instance.ring
         self.S = instance.mult_set
-        self._quotients: dict[int, QuotientRing] = {}
 
     @cached_property
     def ideals(self) -> list[Ideal]:
@@ -289,7 +288,7 @@ class InstanceContext:
 
     @cached_property
     def s_minimal(self):
-        return s_minimal_s_primes(self.ring, self.S, spectrum=self.spectrum)
+        return s_minimal_s_primes(self.S, self.spectrum)
 
     @cached_property
     def nilpotents(self) -> dict[int, int]:
@@ -332,7 +331,7 @@ class InstanceContext:
         """Per proper ideal: hypothesis status plus both sides of the equivalence."""
         out = []
         for I in self.proper_ideals:
-            q = self.quotient(I)
+            q = QuotientRing(self.ring, I.mask)
             sbar = self.projected_set(q)
             if sbar is None:
                 out.append({"ideal": self.lits(I.elements), "hyp_ok": False,
@@ -356,7 +355,7 @@ class InstanceContext:
         kernel = intersection_mask(ring, self.s_minimal)
         quotient_info = []
         for P in self.s_minimal:
-            q = self.quotient(P)
+            q = QuotientRing(self.ring, P.mask)
             sbar = self.projected_set(q)
             quotient_info.append({
                 "prime": P, "quotient": q,
@@ -366,12 +365,6 @@ class InstanceContext:
             x: S.least(S.killers[x]) for x in mask_elements(kernel)}
         return {"kernel": kernel, "quotients": quotient_info,
                 "torsion": torsion_witnesses}
-
-    def quotient(self, I: Ideal) -> QuotientRing:
-        q = self._quotients.get(I.mask)
-        if q is None:
-            q = self._quotients[I.mask] = QuotientRing(self.ring, I.mask)
-        return q
 
     def projected_set(self, q: QuotientRing) -> MultiplicativeSet | None:
         """Image of S in the quotient; None when its closure reaches 0."""
@@ -493,7 +486,7 @@ def _intersection_vs_product(ctx: InstanceContext):
             lambda ctx: {"s_reduced": ctx.s_reduced.verdict,
                          "zero_not_in_S": True})
 def _spectrum_s_zero(ctx: InstanceContext):
-    inter = spectrum_intersection(ctx.ring, ctx.S, spectrum=ctx.spectrum)
+    inter = spectrum_intersection(ctx.ring, ctx.spectrum)
     witnesses = {}
     missing = []
     for x in inter.elements:
@@ -587,7 +580,7 @@ def _product_of_fields(ctx: InstanceContext):
             if ideal_sum(P, Q).size != ring.size:
                 failures.append({"reason": "primes not comaximal",
                                  "P": ctx.lits(P.elements), "Q": ctx.lits(Q.elements)})
-    quotients = [ctx.quotient(P) for P in primes]
+    quotients = [QuotientRing(ring, P.mask) for P in primes]
     if failures:
         return False, {"failures": failures}
     product = ProductRing(tuple(quotients))
@@ -644,12 +637,15 @@ def _uniform_test(ctx: InstanceContext, tag: str, carrier: FiniteRing,
                   S: MultiplicativeSet):
     """The uniform zero-product test on ``carrier``, seeded by ``tag``.
 
-    Small carriers are searched exhaustively to the higher degree, larger
-    ones sampled within the budget.  A carrier built over the instance ring
-    also reports its size and the size of its multiplicative set.
+    Carriers of at most ``EXHAUSTIVE_SIZE_LIMIT`` elements are tested to the
+    higher degree in ``auto`` mode: walked exhaustively when their pair
+    space fits the exhaustive budget (every such carrier at the default
+    degree 2), sampled with their seed otherwise.  Larger carriers are
+    sampled within the budget.  A carrier built over the instance ring also
+    reports its size and the size of its multiplicative set.
     """
     if carrier.size <= EXHAUSTIVE_SIZE_LIMIT:
-        degree, mode = ctx.cfg.exhaustive_degree, "exhaustive"
+        degree, mode = ctx.cfg.exhaustive_degree, "auto"
     else:
         degree, mode = ctx.cfg.sampled_degree, "sampled"
     verdict = is_u_s_armendariz_up_to(

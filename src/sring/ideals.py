@@ -419,23 +419,19 @@ def s_spectrum(ring: FiniteRing, S: MultiplicativeSet, *,
     return out
 
 
-def s_minimal_s_primes(ring: FiniteRing, S: MultiplicativeSet, *,
-                       spectrum: list[tuple[Ideal, SPrimeWitness]] | None = None
-                       ) -> list[Ideal]:
-    """S-primes P such that every S-prime Q inside P absorbs sP for some s."""
-    if spectrum is None:
-        spectrum = s_spectrum(ring, S)
+def s_minimal_s_primes(S: MultiplicativeSet,
+                       spectrum: list[tuple[Ideal, SPrimeWitness]]) -> list[Ideal]:
+    """S-primes P of ``spectrum`` (from :func:`s_spectrum`) such that every
+    S-prime Q inside P absorbs sP for some s."""
     primes = [I for I, _ in spectrum]
     return [P for P in primes
             if all(S.witness(P.elements, Q.mask) is not None
                    for Q in primes if Q.issubset(P))]
 
 
-def spectrum_intersection(ring: FiniteRing, S: MultiplicativeSet, *,
-                          spectrum: list[tuple[Ideal, SPrimeWitness]] | None = None
-                          ) -> Ideal:
-    if spectrum is None:
-        spectrum = s_spectrum(ring, S)
+def spectrum_intersection(ring: FiniteRing,
+                          spectrum: list[tuple[Ideal, SPrimeWitness]]) -> Ideal:
+    """Intersection of the S-primes of ``spectrum`` (from :func:`s_spectrum`)."""
     if not spectrum:
         raise EmptySpectrumError(f"{ring.label} has no S-prime ideal for this S")
     return Ideal(ring, intersection_mask(ring, (I for I, _ in spectrum)))

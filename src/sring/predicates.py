@@ -166,9 +166,8 @@ class LocalizationResult:
     expression quotients R by every element of T.
     """
 
-    ring: FiniteRing
+    ring: QuotientRing
     torsion_kernel: Ideal
-    projection: tuple[int, ...]
 
     def to_json(self, base: FiniteRing) -> dict:
         return {
@@ -186,15 +185,14 @@ def localize(ring: FiniteRing, S: MultiplicativeSet) -> LocalizationResult:
         raise SRingError(f"S-torsion set of {ring.label} is not an ideal")
     torsion = Ideal(ring, mask)
     loc = QuotientRing(ring, mask)
-    projection = tuple(loc.project(x) for x in range(ring.size))
     for x in range(ring.size):
-        if (projection[x] == loc.zero) != bool((mask >> x) & 1):
+        if (loc.project(x) == loc.zero) != bool((mask >> x) & 1):
             raise SRingError("localization kernel differs from the torsion ideal")
     for s in S.members:
-        if not loc.is_unit(projection[s]):
+        if not loc.is_unit(loc.project(s)):
             raise SRingError(
                 f"image of {s} is not a unit in the localization of {ring.label}")
-    return LocalizationResult(loc, torsion, projection)
+    return LocalizationResult(loc, torsion)
 
 
 # ---------------------------------------------------------------------------

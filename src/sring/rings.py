@@ -19,7 +19,8 @@ idealization is its base ring acting on one module ring, the product of its
 cyclic components, so each of its operations and solvers takes one path
 whatever the shape of the module.  Only the idealization and triangular
 carriers keep a random ``a*x = t`` solver of their own (see
-:class:`FiniteRing`).  Index 0 is always the zero element.
+:class:`FiniteRing`); the README's "Special paths" table gives the
+measurement behind each size limit and solver.  Index 0 is the zero element.
 
 Rings are immutable after construction; every operation here is a pure
 function of its inputs.  A ring pickles as its construction expression and
@@ -174,17 +175,14 @@ class FiniteRing:
     them), which collapses the hot solver loops of the derived
     constructions into dictionary hits; callers must not mutate the lists.
     ``solve_mul_random`` draws uniformly from the complete solution list
-    unless a carrier too large for the cache overrides ``_solve_random``.
-    Only :class:`IdealizationRing` and :class:`TriangularERing` do: they are
-    the large carriers the Armendariz statements sample (111,581 and
-    161,164 calls in ``verify --all --seed 42 --budget 5000``), and drawing
-    from their complete lists made those statements about 40% and 48%
-    slower.  A triangular carrier above ``OP_TABLE_LIMIT`` multiplies, and
-    solves, digit by digit on its base's flat tables (see
-    :class:`TriangularERing`).  No workload samples a large Z_n, product or
-    quotient carrier.  The degree-1 pair sampler reads the solution lists
-    of a carrier that ``lists_solutions`` itself, drawing from them as
-    ``solve_mul_random`` would, and calls ``solve_mul_random`` on the rest.
+    unless a carrier too large for the cache overrides ``_solve_random``;
+    only :class:`IdealizationRing` and :class:`TriangularERing` do.  A
+    triangular carrier above ``OP_TABLE_LIMIT`` multiplies, and solves,
+    digit by digit on its base's flat tables (see :class:`TriangularERing`).
+    The degree-1 pair sampler reads the solution lists of a carrier that
+    ``lists_solutions`` itself, drawing from them as ``solve_mul_random``
+    would, and calls ``solve_mul_random`` on the rest.  The README's
+    "Special paths" table gives the measurement behind each of these.
     """
 
     commutative = True
@@ -303,7 +301,6 @@ class ZModRing(FiniteRing):
     def __init__(self, n: int):
         super().__init__(n, ZMod(n), 1 % n)
         self.n = n
-        self._solve_cache: dict[int, tuple[int, int, int]] = {}
 
     def add(self, a, b):
         return (a + b) % self.n
@@ -313,9 +310,6 @@ class ZModRing(FiniteRing):
 
     def neg(self, a):
         return (-a) % self.n
-
-    def sub(self, a, b):
-        return (a - b) % self.n
 
     def decode(self, index):
         return index
@@ -327,21 +321,12 @@ class ZModRing(FiniteRing):
             )
         return literal % self.n
 
-    def _solve_params(self, a):
-        params = self._solve_cache.get(a)
-        if params is None:
-            g = math.gcd(a, self.n)
-            m = self.n // g
-            inv = pow(a // g, -1, m) if m > 1 else 0
-            params = (g, m, inv)
-            self._solve_cache[a] = params
-        return params
-
     def _solve_all(self, a, t):
-        g, m, inv = self._solve_params(a)
+        g = math.gcd(a, self.n)
         if t % g:
             return []
-        x0 = ((t // g) * inv) % m
+        m = self.n // g
+        x0 = (t // g) * pow(a // g, -1, m) % m if m > 1 else 0
         return [x0 + k * m for k in range(g)]
 
 
@@ -731,11 +716,11 @@ class TriangularERing(MixedRadixRing):
 
     def _solve_random(self, alpha, tau, rng):
         # the equations share the left factor a, but their solvability
-        # depends on x (and w), so probe those candidate sets from random
-        # offsets; complete up to the probe caps.  y and z are uniform draws
-        # from their complete lists, as the base's solve_mul_random makes
-        # them: a base has at most SOLUTION_CACHE_LIMIT elements under any
-        # size cap below 256**4.
+        # depends on x (and w), so walk those candidate lists from random
+        # offsets: a solvable equation always returns a solution.  y and z
+        # are uniform draws from their complete lists, as the base's
+        # solve_mul_random makes them: a base has at most
+        # SOLUTION_CACHE_LIMIT elements under any size cap below 256**4.
         n = self.base.size
         mt, st, sols = self._mul_t, self._sub_t, self._solutions_t
         rnd = rng.random
@@ -744,7 +729,7 @@ class TriangularERing(MixedRadixRing):
         if not xs:
             return None
         xstart = int(rnd() * len(xs))
-        for kx in range(min(len(xs), 16)):
+        for kx in range(len(xs)):
             x = xs[(xstart + kx) % len(xs)]
             ys = sols[a + st[t1 + mt[b + x]]]
             if not ys:
@@ -755,7 +740,7 @@ class TriangularERing(MixedRadixRing):
                 continue
             cx = mt[c + x]
             wstart = int(rnd() * len(ws))
-            for kw in range(min(len(ws), 16)):
+            for kw in range(len(ws)):
                 w = ws[(wstart + kw) % len(ws)]
                 zs = sols[a + st[st[t2 + mt[b + w]] * n + cx]]
                 if zs:
@@ -855,22 +840,25 @@ def encode_literals(ring: FiniteRing, literals, path: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_cap(kind: str, size: int, size_cap: int, path: str) -> None:
+    if size > size_cap:
+        raise SizeCapExceededError(f"{path}: {kind} size {size} exceeds cap {size_cap}")
+
+
 def _realize(expr, size_cap: int, path: str) -> FiniteRing:
     """The ring of ``expr``, the node at key path ``path`` of a ring file."""
     if isinstance(expr, ZMod):
         if not isinstance(expr.n, int) or expr.n < 2:
-            raise MalformedExpressionError(f"zmod requires integer n >= 2, got {expr.n!r}")
-        if expr.n > size_cap:
-            raise SizeCapExceededError(f"zmod size {expr.n} exceeds cap {size_cap}")
+            raise MalformedExpressionError(
+                f"{path}: zmod requires integer n >= 2, got {expr.n!r}")
+        _check_cap("zmod", expr.n, size_cap, path)
         return ZModRing(expr.n)
     if isinstance(expr, Product):
         if not expr.factors:
-            raise MalformedExpressionError("product requires at least one factor")
+            raise MalformedExpressionError(f"{path}: product requires at least one factor")
         factors = tuple(_realize(f, size_cap, f"{path}.factors[{i}]")
                         for i, f in enumerate(expr.factors))
-        size = math.prod(f.size for f in factors)
-        if size > size_cap:
-            raise SizeCapExceededError(f"product size {size} exceeds cap {size_cap}")
+        _check_cap("product", math.prod(f.size for f in factors), size_cap, path)
         return ProductRing(factors)
     if isinstance(expr, Quotient):
         base = _realize(expr.base, size_cap, f"{path}.base")
@@ -878,7 +866,8 @@ def _realize(expr, size_cap: int, path: str) -> FiniteRing:
         ring = QuotientRing(base, mask, expr)
         if ring.size == 1:
             raise MalformedExpressionError(
-                f"quotient of {base.label} by the unit ideal collapses to the zero ring")
+                f"{path}: quotient of {base.label} by the unit ideal collapses "
+                "to the zero ring")
         return ring
     if isinstance(expr, Idealization):
         base = _realize(expr.base, size_cap, f"{path}.base")
@@ -887,19 +876,16 @@ def _realize(expr, size_cap: int, path: str) -> FiniteRing:
             gens = encode_literals(base, comp_gens, f"{path}.module.cyclic[{k}]")
             comps.append(QuotientRing(base, ideal_span(base, gens)))
         if not comps:
-            raise MalformedExpressionError("idealization module needs >= 1 cyclic component")
-        size = base.size * math.prod(c.size for c in comps)
-        if size > size_cap:
-            raise SizeCapExceededError(f"idealization size {size} exceeds cap {size_cap}")
+            raise MalformedExpressionError(
+                f"{path}: idealization module needs >= 1 cyclic component")
+        _check_cap("idealization", base.size * math.prod(c.size for c in comps),
+                   size_cap, path)
         return IdealizationRing(base, tuple(comps), expr)
     if isinstance(expr, TriangularE):
         base = _realize(expr.base, size_cap, f"{path}.base")
-        size = base.size ** 4
-        if size > size_cap:
-            raise SizeCapExceededError(
-                f"triangular carrier size {size} exceeds cap {size_cap}")
+        _check_cap("triangular carrier", base.size ** 4, size_cap, path)
         return TriangularERing(base)
-    raise MalformedExpressionError(f"unknown expression node {expr!r}")
+    raise MalformedExpressionError(f"{path}: unknown expression node {expr!r}")
 
 
 def _axiom_failure(ring: FiniteRing, elements, triples) -> str | None:

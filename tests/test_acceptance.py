@@ -154,8 +154,7 @@ def test_criterion_04_z24_spectrum_golden(z24, s24):
              "colon_prime": list(w.colon_prime.elements)}
             for I, w in spectrum
         ],
-        "intersection": list(spectrum_intersection(z24, s24,
-                                                   spectrum=spectrum).elements),
+        "intersection": list(spectrum_intersection(z24, spectrum).elements),
     }
     golden = json.loads((GOLDEN / "z24_spectrum.json").read_text())
     assert doc == golden

@@ -6,7 +6,7 @@ import pytest
 
 from sring import MalformedExpressionError, SRingError, parse_ring_data, parse_ring_file
 from sring.cli import main
-from sring.harness import default_workers
+from sring.harness import curated_instances, default_workers
 
 
 def write(tmp_path, name, doc):
@@ -15,6 +15,8 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+ARMENDARIZ_STATEMENTS = {"U_S_RED_IMPLIES_U_S_ARM", "E_RING_ARMENDARIZ",
+                         "IDEALIZATION_ARMENDARIZ"}
 Z24_DOC = {"ring": {"type": "zmod", "n": 24}, "mult_set": {"generators": [2]}}
 
 
@@ -269,3 +271,42 @@ def test_cli_reports_are_byte_stable(tmp_path, capsys):
         second = capsys.readouterr().out
         outputs.append((first, second))
     assert outputs[0] == outputs[1]
+
+
+def test_cli_verify_above_degree_2_samples_what_the_walk_cannot_fit(tmp_path, capsys):
+    # a carrier of n elements has n**8 degree-3 pairs: up to 7 elements
+    # they fit the exhaustive budget of 10**7, from 8 on they are sampled
+    out = tmp_path / "r.jsonl"
+    assert main(["verify", "--all", "--count", "0", "--max-degree", "3",
+                 "--budget", "200", "--workers", "1", "--jsonl", str(out)]) == 0
+    capsys.readouterr()
+    sizes = {inst.label: inst.ring.size for inst in curated_instances()}
+    searches = []
+    for line in out.read_text().splitlines()[1:]:
+        report = json.loads(line)
+        if report["statement"] not in ARMENDARIZ_STATEMENTS or \
+                report["verdict"] == "hypothesis-not-met":
+            continue
+        details = report["details"]
+        size = details.get("carrier_size", sizes[report["instance"]])
+        expected = "exhaustive" if size ** 8 <= 10**7 else "sampled"
+        assert details["mode"]["degree"] == 3
+        assert details["mode"]["search"] == expected, (report["instance"], size)
+        searches.append(expected)
+    assert {"exhaustive", "sampled"} <= set(searches)
+
+
+@pytest.mark.parametrize("doc, code, message", [
+    ({"ring": {"type": "product", "factors": [
+        {"type": "zmod", "n": 4},
+        {"type": "quotient", "base": {"type": "zmod", "n": 6}, "ideal": [1]}]}},
+     2, "ring.factors[1]: quotient of Z6 by the unit ideal collapses to the zero ring"),
+    ({"ring": {"type": "product", "factors": [{"type": "zmod", "n": 64},
+                                              {"type": "zmod", "n": 128}]}},
+     4, "ring: product size 8192 exceeds cap 4096"),
+])
+def test_cli_ring_construction_errors_name_their_node(tmp_path, capsys, doc, code, message):
+    assert main(["describe", write(tmp_path, "ring.json", doc)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

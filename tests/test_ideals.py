@@ -250,18 +250,18 @@ def test_spectrum_of_field_and_product():
 
 
 def test_s_minimal_s_primes(z24, s24):
-    minimal = s_minimal_s_primes(z24, s24)
+    minimal = s_minimal_s_primes(s24, s_spectrum(z24, s24))
     assert len(minimal) == 4  # every member of the spectrum is S-minimal here
 
     ring = build_ring(Product((ZMod(2), ZMod(2))))
     s_diag = mult_closure(ring, (ring.encode((1, 1)),))
-    minimal = s_minimal_s_primes(ring, s_diag)
+    minimal = s_minimal_s_primes(s_diag, s_spectrum(ring, s_diag))
     decoded = sorted(tuple(ring.decode(x) for x in ideal.elements)
                      for ideal in minimal)
     assert decoded == [(((0, 0)), ((0, 1))), (((0, 0)), ((1, 0)))]
 
 
 def test_spectrum_intersection(z24, s24):
-    assert spectrum_intersection(z24, s24).elements == (0,)
+    assert spectrum_intersection(z24, s_spectrum(z24, s24)).elements == (0,)
     with pytest.raises(EmptySpectrumError):
-        spectrum_intersection(z24, s24, spectrum=[])
+        spectrum_intersection(z24, [])

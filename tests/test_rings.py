@@ -330,6 +330,19 @@ def test_encode_decode_roundtrip():
             assert ring.encode(ring.decode(i)) == i
 
 
+def test_triangular_random_solver_finds_a_solution_whenever_one_exists():
+    # base Z17: 17 candidates x and w, more than any fixed probe count
+    ring = TriangularERing(ZModRing(17))
+    assert ring.size == 17 ** 4 and not ring.lists_solutions
+    alpha = ring.encode((0, 1, 0, 0))
+    tau = ring.encode((0, 5, 7, 0))
+    # alpha * (a, b, c, d) = (0, a, d, 0): a = 5, d = 7, b and c free
+    solutions = set(ring.solve_mul_all(alpha, tau))
+    assert len(solutions) == 289
+    for seed in range(200):
+        assert ring.solve_mul_random(alpha, tau, random.Random(seed)) in solutions
+
+
 def test_solve_mul_matches_scan():
     rng = random.Random(7)
     exprs = [

@@ -16,9 +16,14 @@
   deleted, not kept.  Dunders and the conclusions ``_statement`` registers
   are exempt; matching is by name, so a name read anywhere keeps every
   definition of it.
+- The README's "Special paths" table names only code that exists, and it
+  lists every carrier's own ``_solve_random`` and every size limit of
+  ``rings.py``: a special path is kept while a measurement pays for it,
+  and the table is where that measurement is cited.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -143,3 +148,45 @@ def unreached_definitions(sources, callers) -> list[str]:
 
 def test_every_function_and_method_is_reached_somewhere():
     assert unreached_definitions(SOURCES, CALLERS) == []
+
+
+def defined_names(sources) -> set[str]:
+    """Module-level functions, classes and assigned names, and
+    ``Class.method`` for each method, defined in ``sources``."""
+    names = set()
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        names.update(qualname for qualname, _, _ in _definitions(tree))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def special_path_names(readme: str) -> list[str]:
+    """The backticked identifiers in the first column of the README's
+    "Special paths" table."""
+    section = readme.split("### Special paths", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines()
+            if line.startswith("|") and not line.startswith("|---")][1:]
+    return [name for row in rows
+            for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+def test_special_paths_table_names_existing_code_and_every_limit():
+    names = special_path_names((ROOT / "README.md").read_text())
+    defined = defined_names(SOURCES)
+    assert names
+    assert [n for n in names if n not in defined] == []
+    # a deleted path does not resolve
+    assert not {"ZModRing._solve_params", "InstanceContext.quotient"} & defined
+    rings = ast.parse((ROOT / "src" / "sring" / "rings.py").read_text())
+    limits = {t.id for node in rings.body if isinstance(node, ast.Assign)
+              for t in node.targets
+              if isinstance(t, ast.Name) and t.id.endswith("_LIMIT")}
+    overrides = {q for q, _, _ in _definitions(rings)
+                 if q.endswith("._solve_random") and q != "FiniteRing._solve_random"}
+    assert limits and overrides
+    assert sorted((limits | overrides) - set(names)) == []
