@@ -10,7 +10,9 @@ The SRING_THREADS environment variable caps the verification worker count
 (default: available parallelism); a value that is not a positive integer is
 a usage error.  Integer flags are range-checked at parse time (usage
 error): --max-degree >= 0, --budget >= 1, --count >= 0, --max-size >= 4,
---workers >= 1.
+--workers >= 1.  A ``verify --corpus`` file whose ring is noncommutative
+is a usage error, raised when the corpus is loaded, before any statement
+runs.
 """
 
 from __future__ import annotations
@@ -211,7 +213,12 @@ def _corpus_from_dir(directory: str, cap: int) -> list[CorpusInstance]:
         raise MalformedExpressionError(f"{directory}: no .json ring definitions found")
     out = []
     for i, name in enumerate(paths):
-        ring, S = parse_ring_file(f"{directory}/{name}", size_cap=cap)
+        path = f"{directory}/{name}"
+        ring, S = parse_ring_file(path, size_cap=cap)
+        if not ring.commutative:
+            raise MalformedExpressionError(
+                f"{path}: {ring.label} is noncommutative; "
+                "the catalog's statements assume commutativity")
         out.append(CorpusInstance(name, "file", ring, S, i))
     return out
 

@@ -179,10 +179,8 @@ class FiniteRing:
     only :class:`IdealizationRing` and :class:`TriangularERing` do.  A
     triangular carrier above ``OP_TABLE_LIMIT`` multiplies, and solves,
     digit by digit on its base's flat tables (see :class:`TriangularERing`).
-    The degree-1 pair sampler reads the solution lists of a carrier that
-    ``lists_solutions`` itself, drawing from them as ``solve_mul_random``
-    would, and calls ``solve_mul_random`` on the rest.  The README's
-    "Special paths" table gives the measurement behind each of these.
+    The README's "Special paths" table gives the measurement behind each of
+    these.
     """
 
     commutative = True
@@ -251,19 +249,17 @@ class FiniteRing:
             cache[key] = sols
         return sols
 
-    @property
-    def lists_solutions(self) -> bool:
-        """Whether ``solve_mul_all`` memoizes complete solution lists, from
-        which ``solve_mul_random`` then draws."""
-        return self._solutions_cache is not None
-
     def solve_mul_random(self, a: int, t: int, rng: random.Random) -> int | None:
-        if self._solutions_cache is not None:
+        cache = self._solutions_cache
+        if cache is None:
+            return self._solve_random(a, t, rng)
+        # a hit is read inline: the degree-1 sampler calls this up to 8 times a pair
+        sols = cache.get(a * self.size + t)
+        if sols is None:
             sols = self.solve_mul_all(a, t)
-            if not sols:
-                return None
-            return sols[int(rng.random() * len(sols))]
-        return self._solve_random(a, t, rng)
+        if not sols:
+            return None
+        return sols[int(rng.random() * len(sols))]
 
     def _solve_all(self, a: int, t: int) -> list[int]:
         raise NotImplementedError

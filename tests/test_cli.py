@@ -163,6 +163,24 @@ def test_cli_verify_single_statement_and_corpus_dir(tmp_path, capsys):
     assert "SPECTRUM_S_ZERO" in summary
 
 
+def test_cli_verify_rejects_noncommutative_corpus_file_before_any_statement(
+        tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write(corpus_dir, "a-z24.json", Z24_DOC)
+    write(corpus_dir, "b-ut3.json",
+          {"ring": {"type": "triangular_e", "base": {"type": "zmod", "n": 2}}})
+    out = tmp_path / "report.jsonl"
+    code = main(["verify", "--all", "--corpus", str(corpus_dir),
+                 "--jsonl", str(out), "--workers", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {corpus_dir}/b-ut3.json: ")
+    assert "UT3(Z2) is noncommutative" in captured.err
+    assert not out.exists()
+
+
 def z6_corpus(tmp_path):
     """Corpus directory holding one small ring file."""
     corpus_dir = tmp_path / "corpus"

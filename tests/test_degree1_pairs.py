@@ -3,9 +3,11 @@
 The references are the generic coefficient-by-coefficient sampler and the
 stack walk over the convolution conditions, copied here as they run at
 degree >= 2, and the kill mask of all coefficient products of a pair.  The
-degree-1 code reads solution lists once; it must give the same pairs in the
-same order.  The verdict checks degree**2 products per pair (one at degree
-1); they must give the same masks.
+sampler's degree-1 block calls ``solve_mul_random`` without the generic
+loops, on carriers that memoize solution lists and on larger ones; it must
+give the same pairs in the same order.  The walk is the generic one at
+every degree.  The verdict checks degree**2 products per pair (one at
+degree 1); they must give the same masks.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from sring import (
     mult_closure,
 )
 from sring.predicates import _exhaustive_vector_pairs, _sampled_vector_pairs
+from sring.rings import SOLUTION_CACHE_LIMIT
 
 
 def generic_sampled_pairs(ring, degree, seed, budget):
@@ -119,8 +122,8 @@ UNCACHED = {
 @pytest.mark.parametrize("seed", [0, 5, 42])
 def test_degree1_sampled_stream_matches_generic_sampler(name, seed):
     ring = build_ring({**CACHED, **UNCACHED}[name], size_cap=1296)
-    # both branches of the degree-1 sampler are covered
-    assert ring.lists_solutions == (name in CACHED)
+    # carriers on both sides of the solution cache are covered
+    assert (ring.size <= SOLUTION_CACHE_LIMIT) == (name in CACHED)
     budget = 3000 if name in CACHED else 1500
     got = list(_sampled_vector_pairs(ring, 1, seed, budget))
     assert got == list(generic_sampled_pairs(ring, 1, seed, budget))

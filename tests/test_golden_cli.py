@@ -59,6 +59,10 @@ CASES = [("spectrum", "z288_s22")] + [
     # sampled pairs with a witness, so it moves with the triangular solver's
     # random draws
     ("check u-s-armendariz --max-degree 1 --budget 3000 --seed 5", "e_z8_s3000"),
+    # Z12 ⋉ Z12/(4) (48 elements), S = <(5, (0))>: the default degree 1 walks
+    # all 23,936 zero-product pairs, and some pair has no witness in S, so
+    # this pins the exhaustive degree-1 walk and the kill masks it feeds
+    ("check u-s-armendariz", "z12_idealization_4_s5"),
 ]
 
 SEARCHES = [f"search --statement {stmt.name} --variant {variant} --budget 2000"

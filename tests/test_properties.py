@@ -3,9 +3,11 @@
 Each drawn expression is realized under a 36-element cap and checked
 against brute-force scans: the ring axioms, the literal round trip, both
 equation solvers (the memoized lists and each carrier's own random solver),
+the degree-1 zero-product pair streams and their one-product kill mask,
 and on commutative carriers the ideal lattice and the localization kernel.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from sring import (
     mult_closure,
     verify_ring_axioms,
 )
+from sring.predicates import _exhaustive_vector_pairs, _sampled_vector_pairs
 from sring.rings import freeze_literal, ideal_span, power_cycle
 
 SIZE_CAP = 36
@@ -87,6 +90,32 @@ def _scanned_ideals(ring):
     return ideals
 
 
+def _check_degree1_pair_streams(ring, seed):
+    """The degree-1 pair streams against scans: on carriers of at most 16
+    elements the walk is every (a0, a1, b0, b1) with a0*b0 = 0,
+    a0*b1 + a1*b0 = 0 and a1*b1 = 0, in that lexicographic order; 300
+    sampled pairs are genuine; and on every pair of both streams the kill
+    mask of a1*b0 alone equals that of all four coefficient products."""
+    n, zero = ring.size, ring.zero
+    add, mul = ring.add, ring.mul
+    kill = [sum(1 << s for s in range(n) if mul(s, p) == zero) for p in range(n)]
+    pairs = list(_sampled_vector_pairs(ring, 1, seed, 300))
+    for (a0, a1), (b0, b1) in pairs:
+        assert mul(a0, b0) == zero and mul(a1, b1) == zero
+        assert add(mul(a0, b1), mul(a1, b0)) == zero
+    if n <= 16:
+        scan = [((a0, a1), (b0, b1))
+                for a0, a1, b0, b1 in itertools.product(range(n), repeat=4)
+                if mul(a0, b0) == zero and mul(a1, b1) == zero
+                and add(mul(a0, b1), mul(a1, b0)) == zero]
+        assert list(_exhaustive_vector_pairs(ring, 1)) == scan
+        pairs += scan
+    for a, b in pairs:
+        every = kill[mul(a[0], b[0])] & kill[mul(a[0], b[1])] \
+            & kill[mul(a[1], b[0])] & kill[mul(a[1], b[1])]
+        assert kill[mul(a[1], b[0])] == every
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(expressions(), st.data())
 def test_random_expressions_against_scans(expr, data):
@@ -103,6 +132,7 @@ def test_random_expressions_against_scans(expr, data):
             for x in (ring.solve_mul_random(a, t, rng),
                       ring._solve_random(a, t, rng)):
                 assert (x is None) if not scan else (x in scan)
+    _check_degree1_pair_streams(ring, rng.getrandbits(32))
     if not ring.commutative:
         return
     lattice = {frozenset(I.elements) for I in enumerate_ideals(ring)}

@@ -20,7 +20,13 @@ from sring import (
     verify_ring_axioms,
     zero_divisor_set,
 )
-from sring.rings import MixedRadixRing, TriangularERing, ZModRing, _quick_axiom_sample
+from sring.rings import (
+    SOLUTION_CACHE_LIMIT,
+    MixedRadixRing,
+    TriangularERing,
+    ZModRing,
+    _quick_axiom_sample,
+)
 
 
 def test_zmod_basics(z24):
@@ -333,7 +339,7 @@ def test_encode_decode_roundtrip():
 def test_triangular_random_solver_finds_a_solution_whenever_one_exists():
     # base Z17: 17 candidates x and w, more than any fixed probe count
     ring = TriangularERing(ZModRing(17))
-    assert ring.size == 17 ** 4 and not ring.lists_solutions
+    assert ring.size == 17 ** 4 > SOLUTION_CACHE_LIMIT
     alpha = ring.encode((0, 1, 0, 0))
     tau = ring.encode((0, 5, 7, 0))
     # alpha * (a, b, c, d) = (0, a, d, 0): a = 5, d = 7, b and c free

@@ -16,6 +16,9 @@
   deleted, not kept.  Dunders and the conclusions ``_statement`` registers
   are exempt; matching is by name, so a name read anywhere keeps every
   definition of it.
+- Only ``rings.py`` knows which carriers memoize solution lists: no other
+  module of the package names the cache, its size limit or a property
+  that reports it, so no caller picks a path by it.
 - The README's "Special paths" table names only code that exists, and it
   lists every carrier's own ``_solve_random`` and every size limit of
   ``rings.py``: a special path is kept while a measurement pays for it,
@@ -66,6 +69,33 @@ def untargeted_witness_calls(path: Path) -> list[str]:
 
 def test_every_witness_call_passes_a_target():
     assert [w for path in SOURCES for w in untargeted_witness_calls(path)] == []
+
+
+CACHE_POLICY_NAMES = {"_solutions_cache", "SOLUTION_CACHE_LIMIT", "lists_solutions"}
+
+
+def cache_policy_reads(path: Path) -> list[str]:
+    """``file:line name`` for each name, attribute or import in ``path``
+    that names the solution cache's policy."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        reads += [f"{path.name}:{node.lineno} {n}" for n in names
+                  if n in CACHE_POLICY_NAMES]
+    return reads
+
+
+def test_solution_cache_policy_stays_in_rings():
+    assert cache_policy_reads(ROOT / "src" / "sring" / "rings.py")
+    assert [r for path in SOURCES if path.name != "rings.py"
+            for r in cache_policy_reads(path)] == []
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -181,7 +211,8 @@ def test_special_paths_table_names_existing_code_and_every_limit():
     assert names
     assert [n for n in names if n not in defined] == []
     # a deleted path does not resolve
-    assert not {"ZModRing._solve_params", "InstanceContext.quotient"} & defined
+    assert not {"ZModRing._solve_params", "InstanceContext.quotient",
+                "FiniteRing.lists_solutions", "_sampled_degree1_pairs"} & defined
     rings = ast.parse((ROOT / "src" / "sring" / "rings.py").read_text())
     limits = {t.id for node in rings.body if isinstance(node, ast.Assign)
               for t in node.targets
