@@ -29,7 +29,13 @@ from sring.harness import (
 
 GOLDEN = Path(__file__).parent / "golden"
 
-CASES = [("spectrum", "z288_s22")] + [
+CASES = [
+    # the S-prime witnesses (definitional s, colon s, colon prime) above the
+    # 256-element operation-table limit: Z288, Z720, Z16xZ16, Z16xZ17 and
+    # Z24(+)Z24
+    ("spectrum", ring) for ring in ("z288_s22", "z720_s2", "z16xz17_s0_3",
+                                    "z16xz16_s6_11", "z24_idealization_s5")
+] + [
     (command, ring)
     for ring in ("z720_s2", "z16xz16_s6_11")
     # neither ring is S-reduced: these pin ``failing`` and the witness map
