@@ -14,6 +14,7 @@ from .errors import EmptySpectrumError, SRingError, ZeroInClosureError
 from .rings import (
     FiniteRing,
     _coset_union,
+    coset_representatives,
     ideal_span,
     mask_elements,
     power_cycle,
@@ -150,9 +151,9 @@ class MultiplicativeSet:
 class SPrimeWitness:
     """Evidence that an ideal P is S-prime.
 
-    ``s`` passes the definitional test (ab in P forces sa or sb in P for all
-    pairs); ``colon_s`` is the least member whose colon ideal (P : colon_s)
-    is prime.  The two members may differ.
+    ``s`` is the least member with ab in P forcing sa or sb in P, from
+    :func:`definitional_witness`; ``colon_s`` is the least member with
+    (P : colon_s) prime, found by independent code.  The two may differ.
     """
 
     ideal: Ideal
@@ -352,44 +353,44 @@ def s_nilradical(ring: FiniteRing, S: MultiplicativeSet) -> SRadicalResult:
 # S-primes
 
 
-def _s_prime_by_definition(P: Ideal, s: int) -> bool:
-    """Whether ab in P forces sa or sb in P, for all a, b.
+def definitional_witness(S: MultiplicativeSet, P: Ideal) -> int | None:
+    """Least member s such that ab in P forces sa or sb in P; None if none.
 
-    Only elements a with sa outside P can break s, so s passes iff no two
-    of them (a <= b suffices, the ring being commutative) multiply into P.
+    The members that work are the AND of ``C[a] | C[b]``, C =
+    ``S.carriers(P.mask)``, over the pairs with ab in P.  Both ab in P and
+    sa in P depend only on the cosets of a and b mod P, so a runs over the
+    least element of each coset, skipping any a that every member carries
+    into P, and b over the solutions of ab = t for t in P.
     """
-    mask, mul = P.mask, P.ring.mul
-    rest = [a for a in range(P.ring.size) if not (mask >> mul(s, a)) & 1]
-    for i, a in enumerate(rest):
-        for b in rest[i:]:
-            if (mask >> mul(a, b)) & 1:
-                return False
-    return True
+    ring = P.ring
+    carriers = S.carriers(P.mask)
+    common = every = (1 << len(S.members)) - 1
+    for a in coset_representatives(ring, P.elements)[0]:
+        ca = carriers[a]
+        if ca == every:
+            continue
+        for t in P.elements:
+            for b in ring.solve_mul_all(a, t):
+                common &= ca | carriers[b]
+        if not common:
+            return None
+    return S.least(common)
 
 
 def is_s_prime(S: MultiplicativeSet, P: Ideal) -> SPrimeWitness | None:
     """Definitional S-prime test, cross-checked against the colon criterion.
 
-    Returns a witness carrying the least definitional s and the least s'
-    with (P : s') prime; the two tests must agree and a disagreement raises.
+    Returns a witness carrying the least s from :func:`definitional_witness`
+    and the least s' with (P : s') prime, found independently by
+    :func:`colon_elem` and :func:`is_prime_ideal`; a disagreement raises.
     """
     ring = P.ring
     require_commutative(ring, "this ideal-theoretic operation")
-    if not P.is_proper:
+    if not P.is_proper or P.mask & S.mask:
         return None
-    if P.mask & S.mask:
-        return None
-    definitional = None
-    for s in S.members:
-        if _s_prime_by_definition(P, s):
-            definitional = s
-            break
-    colon_hit = None
-    for s in S.members:
-        C = colon_elem(P, s)
-        if is_prime_ideal(C):
-            colon_hit = (s, C)
-            break
+    definitional = definitional_witness(S, P)
+    colons = ((s, colon_elem(P, s)) for s in S.members)
+    colon_hit = next((hit for hit in colons if is_prime_ideal(hit[1])), None)
     if (definitional is None) != (colon_hit is None):
         raise SRingError(
             f"S-prime criteria disagree on {P!r}: definitional={definitional} "

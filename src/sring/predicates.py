@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, SRingError
-from .ideals import Ideal, MultiplicativeSet, is_ideal_mask
+from .ideals import Ideal, MultiplicativeSet, definitional_witness, is_ideal_mask, zero_ideal
 from .polynomials import poly
 from .rings import (
     FiniteRing,
@@ -119,20 +119,11 @@ def is_s_reduced(ring: FiniteRing, S: MultiplicativeSet) -> SReducedCertificate:
 def is_s_integral_domain(ring: FiniteRing, S: MultiplicativeSet) -> int | None:
     """Least s working for every zero-product pair: ab = 0 forces sa = 0 or sb = 0.
 
-    The quantifier order matters: one s is fixed before all pairs, so the
-    members that work are the AND of ``killers[a] | killers[b]`` over them.
+    The quantifier order matters: one s is fixed before all pairs.  This is
+    the definitional S-prime test of the zero ideal.
     """
     require_commutative(ring, "this predicate")
-    zero = ring.zero
-    killers = S.killers
-    common = killers[zero]
-    for a in range(ring.size):
-        ka = killers[a]
-        for b in ring.solve_mul_all(a, zero):
-            common &= ka | killers[b]
-        if not common:
-            return None
-    return S.least(common)
+    return definitional_witness(S, zero_ideal(ring))
 
 
 @dataclass(frozen=True)

@@ -476,16 +476,8 @@ class QuotientRing(FiniteRing):
     def __init__(self, base: FiniteRing, ideal_mask: int, expression=None):
         self.base = base
         self.ideal_elements = tuple(_mask_elements(ideal_mask))
-        reps: list[int] = []
-        proj: list[int] = [-1] * base.size
-        for x in range(base.size):
-            if proj[x] < 0:
-                idx = len(reps)
-                reps.append(x)
-                for i in self.ideal_elements:
-                    proj[base.add(x, i)] = idx
-        self._reps = tuple(reps)
-        self._proj = tuple(proj)
+        reps, proj = coset_representatives(base, self.ideal_elements)
+        self._reps, self._proj = tuple(reps), tuple(proj)
         if expression is None:
             expression = Quotient(base.expression, tuple(
                 freeze_literal(base.decode(i)) for i in self.ideal_elements))
@@ -759,6 +751,19 @@ def _mask_elements(mask: int):
 
 def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(_mask_elements(mask))
+
+
+def coset_representatives(ring: FiniteRing, members) -> tuple[list[int], list[int]]:
+    """The least element of each coset x + H of the additive subgroup H that
+    ``members`` lists, ascending, and per element of the ring the position
+    of its coset among them."""
+    add, reps, proj = ring.add, [], [-1] * ring.size
+    for x in range(ring.size):
+        if proj[x] < 0:
+            for h in members:
+                proj[add(x, h)] = len(reps)
+            reps.append(x)
+    return reps, proj
 
 
 def _coset_union(ring: FiniteRing, mask: int, members: list[int],

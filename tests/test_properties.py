@@ -4,7 +4,8 @@ Each drawn expression is realized under a 36-element cap and checked
 against brute-force scans: the ring axioms, the literal round trip, both
 equation solvers (the memoized lists and each carrier's own random solver),
 the degree-1 zero-product pair streams and their one-product kill mask,
-and on commutative carriers the ideal lattice and the localization kernel.
+and on commutative carriers the ideal lattice, the definitional S-prime
+witness of every proper ideal and the localization kernel.
 """
 
 import itertools
@@ -22,10 +23,12 @@ from sring import (
     ZMod,
     build_ring,
     enumerate_ideals,
+    is_s_integral_domain,
     localize,
     mult_closure,
     verify_ring_axioms,
 )
+from sring.ideals import definitional_witness, zero_ideal
 from sring.predicates import _exhaustive_vector_pairs, _sampled_vector_pairs
 from sring.rings import freeze_literal, ideal_span, power_cycle
 
@@ -116,6 +119,19 @@ def _check_degree1_pair_streams(ring, seed):
         assert kill[mul(a[1], b[0])] == every
 
 
+def _scanned_definitional_witness(S, P):
+    """Least member s, tried in order against every pair (a, b) of the
+    ring, such that ab in P forces sa or sb in P; None when none does."""
+    ring, mask = P.ring, P.mask
+    mul, elems = ring.mul, range(ring.size)
+    pairs = [(a, b) for a in elems for b in elems if (mask >> mul(a, b)) & 1]
+    for s in S.members:
+        if all((mask >> mul(s, a)) & 1 or (mask >> mul(s, b)) & 1
+               for a, b in pairs):
+            return s
+    return None
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(expressions(), st.data())
 def test_random_expressions_against_scans(expr, data):
@@ -135,13 +151,17 @@ def test_random_expressions_against_scans(expr, data):
     _check_degree1_pair_streams(ring, rng.getrandbits(32))
     if not ring.commutative:
         return
-    lattice = {frozenset(I.elements) for I in enumerate_ideals(ring)}
-    assert lattice == _scanned_ideals(ring)
+    ideals = enumerate_ideals(ring)
+    assert {frozenset(I.elements) for I in ideals} == _scanned_ideals(ring)
     # a generator whose powers miss 0; 1 always qualifies
     g = data.draw(st.integers(0, n - 1))
     if ring.zero in power_cycle(ring, g):
         g = ring.one
     S = mult_closure(ring, (g,))
+    for I in ideals:
+        if I.is_proper:
+            assert definitional_witness(S, I) == _scanned_definitional_witness(S, I)
+    assert definitional_witness(S, zero_ideal(ring)) == is_s_integral_domain(ring, S)
     kernel = [x for x in range(n) if any(ring.mul(s, x) == ring.zero
                                          for s in S.members)]
     loc = localize(ring, S)

@@ -19,6 +19,10 @@
 - Only ``rings.py`` knows which carriers memoize solution lists: no other
   module of the package names the cache, its size limit or a property
   that reports it, so no caller picks a path by it.
+- The two S-prime criteria stay independent oracles: nothing that
+  ``colon_elem``, ``is_prime_ideal`` or ``dominant_colon_witness`` calls,
+  directly or through other functions of the package, is
+  ``definitional_witness``.
 - The README's "Special paths" table names only code that exists, and it
   lists every carrier's own ``_solve_random`` and every size limit of
   ``rings.py``: a special path is kept while a measurement pays for it,
@@ -221,3 +225,40 @@ def test_special_paths_table_names_existing_code_and_every_limit():
                  if q.endswith("._solve_random") and q != "FiniteRing._solve_random"}
     assert limits and overrides
     assert sorted((limits | overrides) - set(names)) == []
+
+
+def called_names(sources) -> dict[str, set[str]]:
+    """Per function or method name in ``sources``, the names its body calls
+    (a bare name or the attribute after the last dot); definitions that
+    share a name share one entry."""
+    calls: dict[str, set[str]] = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls.setdefault(node.name, set()).update(
+                    _called_name(c) for c in ast.walk(node) if isinstance(c, ast.Call))
+    return calls
+
+
+def reachable_calls(calls: dict[str, set[str]], roots) -> set[str]:
+    """Every name called from ``roots``, following the calls of each called
+    name that ``calls`` defines."""
+    seen: set[str] = set()
+    stack = [n for root in roots for n in calls[root]]
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            stack += calls.get(name, ())
+    return seen
+
+
+def test_colon_criterion_never_calls_the_definitional_test():
+    calls = called_names(SOURCES)
+    colon = reachable_calls(calls, ("colon_elem", "is_prime_ideal",
+                                    "dominant_colon_witness"))
+    assert "mul" in colon and "require_commutative" in colon
+    assert "definitional_witness" not in colon
+    # the test would pass vacuously if the name no longer resolved
+    for caller in ("is_s_prime", "is_s_integral_domain"):
+        assert "definitional_witness" in reachable_calls(calls, (caller,))
