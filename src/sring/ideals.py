@@ -14,7 +14,7 @@ from .errors import EmptySpectrumError, SRingError, ZeroInClosureError
 from .rings import (
     FiniteRing,
     _coset_union,
-    coset_representatives,
+    additive_cosets,
     ideal_span,
     mask_elements,
     power_cycle,
@@ -356,16 +356,15 @@ def s_nilradical(ring: FiniteRing, S: MultiplicativeSet) -> SRadicalResult:
 def definitional_witness(S: MultiplicativeSet, P: Ideal) -> int | None:
     """Least member s such that ab in P forces sa or sb in P; None if none.
 
-    The members that work are the AND of ``C[a] | C[b]``, C =
-    ``S.carriers(P.mask)``, over the pairs with ab in P.  Both ab in P and
-    sa in P depend only on the cosets of a and b mod P, so a runs over the
-    least element of each coset, skipping any a that every member carries
-    into P, and b over the solutions of ab = t for t in P.
+    The AND of ``C[a] | C[b]``, C = ``S.carriers(P.mask)``, over the pairs
+    with ab in P.  Both tests depend only on the cosets of a and b mod P, so
+    a runs over the least element of each coset, skipping any a that every
+    member carries into P, and b over the solutions of ab = t for t in P.
     """
     ring = P.ring
     carriers = S.carriers(P.mask)
     common = every = (1 << len(S.members)) - 1
-    for a in coset_representatives(ring, P.elements)[0]:
+    for a, _ in additive_cosets(ring, P.elements):
         ca = carriers[a]
         if ca == every:
             continue
@@ -384,8 +383,7 @@ def is_s_prime(S: MultiplicativeSet, P: Ideal) -> SPrimeWitness | None:
     and the least s' with (P : s') prime, found independently by
     :func:`colon_elem` and :func:`is_prime_ideal`; a disagreement raises.
     """
-    ring = P.ring
-    require_commutative(ring, "this ideal-theoretic operation")
+    require_commutative(P.ring, "this ideal-theoretic operation")
     if not P.is_proper or P.mask & S.mask:
         return None
     definitional = definitional_witness(S, P)

@@ -3,7 +3,7 @@
 Every verdict carries explicit witnesses chosen at the least canonical
 index, so repeated runs print identical reports.  A killer (s*a = 0, of
 one element, of all nilpotents, of a or b in each zero-product pair) is the
-least member in an AND of :attr:`MultiplicativeSet.killers` masks; a
+least member in an AND of masks of ``S.carriers`` into the zero ideal; a
 witness into another target (s*ann(a**n) inside ann(a**k)) is the least
 one :meth:`MultiplicativeSet.witness` finds; a purity witness (s*a = a*b)
 is the least s that :meth:`MultiplicativeSet.least_multipliers` maps a*b

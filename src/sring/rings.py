@@ -476,7 +476,11 @@ class QuotientRing(FiniteRing):
     def __init__(self, base: FiniteRing, ideal_mask: int, expression=None):
         self.base = base
         self.ideal_elements = tuple(_mask_elements(ideal_mask))
-        reps, proj = coset_representatives(base, self.ideal_elements)
+        reps, proj = [], [-1] * base.size
+        for x, coset in additive_cosets(base, self.ideal_elements):
+            for y in coset:
+                proj[y] = len(reps)
+            reps.append(x)
         self._reps, self._proj = tuple(reps), tuple(proj)
         if expression is None:
             expression = Quotient(base.expression, tuple(
@@ -753,17 +757,17 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(_mask_elements(mask))
 
 
-def coset_representatives(ring: FiniteRing, members) -> tuple[list[int], list[int]]:
-    """The least element of each coset x + H of the additive subgroup H that
-    ``members`` lists, ascending, and per element of the ring the position
-    of its coset among them."""
-    add, reps, proj = ring.add, [], [-1] * ring.size
+def additive_cosets(ring: FiniteRing, members):
+    """Yield each coset x + H of the additive subgroup H that ``members``
+    lists, as its least element x and the list of its elements x + h, in
+    ascending order of x; lazily, so a caller that stops early pays less."""
+    add, covered = ring.add, bytearray(ring.size)
     for x in range(ring.size):
-        if proj[x] < 0:
-            for h in members:
-                proj[add(x, h)] = len(reps)
-            reps.append(x)
-    return reps, proj
+        if not covered[x]:
+            coset = [add(x, h) for h in members]
+            for y in coset:
+                covered[y] = 1
+            yield x, coset
 
 
 def _coset_union(ring: FiniteRing, mask: int, members: list[int],
