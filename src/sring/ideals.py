@@ -190,8 +190,11 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     """Smallest ideal containing both: the additive sum I + J.
 
     Any sum of ideals is again an ideal, so no multiplication is needed;
-    I + J is the union of the cosets j + I over j in J, each added once.
+    I + J is the union of the cosets j + I over j in J, each added once,
+    with I the larger of the two, so that fewer cosets remain to add.
     """
+    if I.size < J.size:
+        I, J = J, I
     ring = I.ring
     mask, _ = _coset_union(ring, I.mask, list(I.elements), J.elements)
     return Ideal(ring, mask)
@@ -221,9 +224,13 @@ def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[
 
     Every ideal of a finite ring is the sum of the principal ideals R*x of
     its elements, so closing the principal ideals under adding one
-    principal ideal at a time reaches them all: each ideal found is summed
-    with every principal ideal not already inside it.  Raises SRingError
-    once more than ``cap`` distinct ideals, principal ones included, turn up.
+    principal ideal at a time reaches them all.  R*(u*x) = R*x for a unit
+    u, so R*x is built once per orbit of the unit group, at the orbit's
+    least element.  I + R*x depends only on the coset x + I, so each ideal
+    I found is summed with R*x for the least element x of each coset of
+    R/I other than I itself, once per distinct R*x that does not contain I.
+    Raises SRingError once more than ``cap`` distinct ideals, principal ones
+    included, turn up.
     """
     require_commutative(ring, "this ideal-theoretic operation")
     by_mask: dict[int, Ideal] = {}
@@ -236,15 +243,29 @@ def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[
             raise SRingError(f"ideal count of {ring.label} exceeds cap {cap}")
         return True
 
-    principal = [I for I in (ideal_generated(ring, (x,)) for x in range(ring.size))
-                 if is_new(I)]
-    worklist = list(principal)
+    mul = ring.mul
+    units = [u for u in range(ring.size) if ring.is_unit(u)]
+    principal_of: list[Ideal | None] = [None] * ring.size
+    worklist = []
+    for x in range(ring.size):
+        if principal_of[x] is None:
+            I = ideal_generated(ring, (x,))
+            for u in units:
+                principal_of[mul(u, x)] = I
+            if is_new(I):
+                worklist.append(I)
     for I in worklist:  # grows while walked
-        for P in principal:
-            if P.mask & ~I.mask:
-                J = ideal_sum(I, P)
-                if is_new(J):
-                    worklist.append(J)
+        cosets, summed = additive_cosets(ring, I.elements), set()
+        next(cosets)  # the coset 0 + I is I itself
+        for x, _ in cosets:
+            P = principal_of[x]
+            # when I lies inside P, I + P is P, found already
+            if P.mask in summed or I.issubset(P):
+                continue
+            summed.add(P.mask)
+            J = ideal_sum(I, P)
+            if is_new(J):
+                worklist.append(J)
     return sorted(by_mask.values(), key=Ideal.sort_key)
 
 
@@ -261,15 +282,16 @@ def colon_elem(I: Ideal, x: int) -> Ideal:
 def is_prime_ideal(I: Ideal) -> bool:
     """Proper, and ab in I forces a in I or b in I.
 
-    The ring is commutative, so each unordered pair a <= b outside I is
-    tested once.
+    Whether ab lies in I depends only on the cosets a + I and b + I, and the
+    ring is commutative, so each unordered pair a <= b of least coset
+    representatives outside I is tested once, the squares a*a included.
     """
     ring = I.ring
     require_commutative(ring, "this ideal-theoretic operation")
     if not I.is_proper:
         return False
     mask, mul = I.mask, ring.mul
-    outside = [a for a in range(ring.size) if not (mask >> a) & 1]
+    outside = [a for a, _ in additive_cosets(ring, I.elements)][1:]
     for i, a in enumerate(outside):
         for b in outside[i:]:
             if (mask >> mul(a, b)) & 1:
@@ -382,13 +404,21 @@ def is_s_prime(S: MultiplicativeSet, P: Ideal) -> SPrimeWitness | None:
     Returns a witness carrying the least s from :func:`definitional_witness`
     and the least s' with (P : s') prime, found independently by
     :func:`colon_elem` and :func:`is_prime_ideal`; a disagreement raises.
+    Members often share a colon ideal, so each distinct (P : s') is tested
+    for primality once, at the least member giving it.
     """
     require_commutative(P.ring, "this ideal-theoretic operation")
     if not P.is_proper or P.mask & S.mask:
         return None
     definitional = definitional_witness(S, P)
-    colons = ((s, colon_elem(P, s)) for s in S.members)
-    colon_hit = next((hit for hit in colons if is_prime_ideal(hit[1])), None)
+    colon_hit, tested = None, set()
+    for s in S.members:
+        colon = colon_elem(P, s)
+        if colon.mask not in tested:
+            tested.add(colon.mask)
+            if is_prime_ideal(colon):
+                colon_hit = (s, colon)
+                break
     if (definitional is None) != (colon_hit is None):
         raise SRingError(
             f"S-prime criteria disagree on {P!r}: definitional={definitional} "

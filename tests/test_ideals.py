@@ -44,12 +44,15 @@ def test_enumerate_ideals_bijects_with_divisors():
 
 
 def test_enumerate_ideals_product_by_subgroup_scan():
-    # Z2xZ2 is a principal ideal ring; the other two have ideals that only
-    # a sum of principal ideals reaches
+    # Z2xZ2 is a principal ideal ring; the other three have ideals that only
+    # a sum of principal ideals reaches.  In Z2(+)Z2^3 the ideal 0(+)<e2, e3>
+    # is I + R*x for a principal I and an x that is never the least element
+    # outside I: the sum closure has to try more cosets of R/I than one.
     cases = (
         (Product((ZMod(2), ZMod(2))), 4),
         (Idealization(ZMod(2), ModuleSpec(((0,), (0,)))), 6),
         (Product((ZMod(2), ZMod(4), ZMod(2))), 12),
+        (Idealization(ZMod(2), ModuleSpec(((0,), (0,), (0,)))), 17),
     )
     for expr, count in cases:
         ring = build_ring(expr)
@@ -137,6 +140,31 @@ def test_is_prime_ideal(z24):
     assert is_prime_ideal(ideal_generated(z24, (3,)))
     assert not is_prime_ideal(ideal_generated(z24, (6,)))
     assert not is_prime_ideal(ideal_generated(z24, (1,)))
+    # 2*2 = 0 is the only product of nonzero elements: the square decides it
+    z4 = build_ring(ZMod(4))
+    assert not is_prime_ideal(zero_ideal(z4))
+
+
+def scanned_is_prime(I):
+    """Proper, and no pair (a, b) of elements outside I, all n^2 of them,
+    has ab in I."""
+    ring, mask = I.ring, I.mask
+    outside = [a for a in range(ring.size) if not (mask >> a) & 1]
+    return bool(outside) and not any((mask >> ring.mul(a, b)) & 1
+                                     for a in outside for b in outside)
+
+
+@pytest.mark.parametrize("expr", [ZMod(720), Product((ZMod(16), ZMod(16)))],
+                         ids=["Z720", "Z16xZ16"])
+def test_is_prime_ideal_matches_pair_scan(expr):
+    # Z720 multiplies through its structure, above the 256-element
+    # operation-table limit; Z16xZ16 sits at the limit and reads tables
+    ring = build_ring(expr)
+    ideals = enumerate_ideals(ring)
+    for I in ideals:
+        assert is_prime_ideal(I) == scanned_is_prime(I), I
+    # Z720: (2), (3), (5); Z16xZ16: (2)xZ16 and Z16x(2)
+    assert sum(map(is_prime_ideal, ideals)) == (3 if ring.size == 720 else 2)
 
 
 def test_mult_closure_examples(z24, z12):

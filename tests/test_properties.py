@@ -4,8 +4,9 @@ Each drawn expression is realized under a 36-element cap and checked
 against brute-force scans: the ring axioms, the literal round trip, both
 equation solvers (the memoized lists and each carrier's own random solver),
 the degree-1 zero-product pair streams and their one-product kill mask,
-and on commutative carriers the ideal lattice, the definitional S-prime
-witness of every proper ideal and the localization kernel.
+and on commutative carriers the ideal lattice, the primality of every
+ideal, the definitional S-prime witness of every proper ideal and the
+localization kernel.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from sring import (
     ZMod,
     build_ring,
     enumerate_ideals,
+    is_prime_ideal,
     is_s_integral_domain,
     localize,
     mult_closure,
@@ -132,6 +134,15 @@ def _scanned_definitional_witness(S, P):
     return None
 
 
+def _scanned_is_prime(I):
+    """Proper, and no pair (a, b) of elements outside I, all n^2 of them,
+    has ab in I."""
+    ring, mask = I.ring, I.mask
+    outside = [a for a in range(ring.size) if not (mask >> a) & 1]
+    return bool(outside) and not any((mask >> ring.mul(a, b)) & 1
+                                     for a in outside for b in outside)
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(expressions(), st.data())
 def test_random_expressions_against_scans(expr, data):
@@ -159,6 +170,7 @@ def test_random_expressions_against_scans(expr, data):
         g = ring.one
     S = mult_closure(ring, (g,))
     for I in ideals:
+        assert is_prime_ideal(I) == _scanned_is_prime(I)
         if I.is_proper:
             assert definitional_witness(S, I) == _scanned_definitional_witness(S, I)
     assert definitional_witness(S, zero_ideal(ring)) == is_s_integral_domain(ring, S)
