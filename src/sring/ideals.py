@@ -228,17 +228,20 @@ def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[
     u, so R*x is built once per orbit of the unit group, at the orbit's
     least element.  I + R*x depends only on the coset x + I, so each ideal
     I found is summed with R*x for the least element x of each coset of
-    R/I other than I itself, once per distinct R*x that does not contain I.
+    R/I.  A sum is computed only when it is new: I + P has |I||P|/|I & P|
+    elements, so a found ideal of that size holding I and P is I + P.
     Raises SRingError once more than ``cap`` distinct ideals, principal ones
     included, turn up.
     """
     require_commutative(ring, "this ideal-theoretic operation")
     by_mask: dict[int, Ideal] = {}
+    masks_by_size: dict[int, list[int]] = {}
 
     def is_new(I: Ideal) -> bool:
         if I.mask in by_mask:
             return False
         by_mask[I.mask] = I
+        masks_by_size.setdefault(I.size, []).append(I.mask)
         if len(by_mask) > cap:
             raise SRingError(f"ideal count of {ring.label} exceeds cap {cap}")
         return True
@@ -249,20 +252,18 @@ def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[
     worklist = []
     for x in range(ring.size):
         if principal_of[x] is None:
-            I = ideal_generated(ring, (x,))
+            P = ideal_generated(ring, (x,))
             for u in units:
-                principal_of[mul(u, x)] = I
-            if is_new(I):
-                worklist.append(I)
+                principal_of[mul(u, x)] = P
+            if is_new(P):
+                worklist.append(P)
     for I in worklist:  # grows while walked
-        cosets, summed = additive_cosets(ring, I.elements), set()
-        next(cosets)  # the coset 0 + I is I itself
-        for x, _ in cosets:
+        for x, _ in additive_cosets(ring, I.elements):
             P = principal_of[x]
-            # when I lies inside P, I + P is P, found already
-            if P.mask in summed or I.issubset(P):
+            size = I.size * P.size // (I.mask & P.mask).bit_count()
+            both = I.mask | P.mask
+            if any((K & both) == both for K in masks_by_size.get(size, ())):
                 continue
-            summed.add(P.mask)
             J = ideal_sum(I, P)
             if is_new(J):
                 worklist.append(J)
