@@ -32,11 +32,13 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     # the S-prime witnesses (definitional s, colon s, colon prime) at and
     # above the 256-element operation-table limit: Z288, Z720, Z16xZ16,
-    # Z16xZ17 and Z24(+)Z24; and near the size cap, Z3600 (45 ideals) and
+    # Z16xZ17 and Z24(+)Z24; a three-factor product, Z12xZ12xZ6 (864
+    # elements, 144 ideals); and near the size cap, Z3600 (45 ideals) and
     # Z48(+)Z48 (2,304 elements)
     ("spectrum", ring) for ring in ("z288_s22", "z720_s2", "z16xz17_s0_3",
                                     "z16xz16_s6_11", "z24_idealization_s5",
-                                    "z3600_s2", "z48_idealization_s5")
+                                    "z12xz12xz6_s2_1_1", "z3600_s2",
+                                    "z48_idealization_s5")
 ] + [
     (command, ring)
     for ring in ("z720_s2", "z16xz16_s6_11")
