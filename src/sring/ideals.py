@@ -226,12 +226,11 @@ def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[
     its elements, so closing the principal ideals under adding one
     principal ideal at a time reaches them all.  R*(u*x) = R*x for a unit
     u, so R*x is built once per orbit of the unit group, at the orbit's
-    least element.  I + R*x depends only on the coset x + I, so each ideal
-    I found is summed with R*x for the least element x of each coset of
-    R/I.  A sum is computed only when it is new: I + P has |I||P|/|I & P|
-    elements, so a found ideal of that size holding I and P is I + P.
-    Raises SRingError once more than ``cap`` distinct ideals, principal ones
-    included, turn up.
+    least element.  Each ideal I found is summed with each distinct
+    principal ideal P not inside I, read off the masks.  A sum is computed
+    only when it is new: I + P has |I||P|/|I & P| elements, so a found ideal
+    of that size holding I and P is I + P.  Raises SRingError once more than
+    ``cap`` distinct ideals, principal ones included, turn up.
     """
     require_commutative(ring, "this ideal-theoretic operation")
     by_mask: dict[int, Ideal] = {}
@@ -248,18 +247,20 @@ def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[
 
     mul = ring.mul
     units = [u for u in range(ring.size) if ring.is_unit(u)]
-    principal_of: list[Ideal | None] = [None] * ring.size
-    worklist = []
+    done = bytearray(ring.size)
+    principals = []
     for x in range(ring.size):
-        if principal_of[x] is None:
-            P = ideal_generated(ring, (x,))
+        if not done[x]:
             for u in units:
-                principal_of[mul(u, x)] = P
+                done[mul(u, x)] = 1
+            P = ideal_generated(ring, (x,))
             if is_new(P):
-                worklist.append(P)
+                principals.append(P)
+    worklist = list(principals)
     for I in worklist:  # grows while walked
-        for x, _ in additive_cosets(ring, I.elements):
-            P = principal_of[x]
+        for P in principals:
+            if not P.mask & ~I.mask:
+                continue
             size = I.size * P.size // (I.mask & P.mask).bit_count()
             both = I.mask | P.mask
             if any((K & both) == both for K in masks_by_size.get(size, ())):
@@ -270,14 +271,32 @@ def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[
     return sorted(by_mask.values(), key=Ideal.sort_key)
 
 
+def colon_ideals(P: Ideal, xs):
+    """Yield (P : x), the elements r with r*x in P, for each x in ``xs``.
+
+    P lies in every (P : x), and r in (P : x) puts the whole coset r + P
+    there, so each colon ideal is P together with a union of other cosets
+    of P.  R/P is walked once, keeping each coset's mask, and for each x
+    only the least element of each coset is multiplied: |R/P| - 1 products
+    per x instead of |R|.  Lazy, so a caller that stops early pays for no
+    more of ``xs``.  Only ``ring.add`` and ``ring.mul`` are used.
+    """
+    ring = P.ring
+    mask, mul = P.mask, ring.mul
+    cosets = additive_cosets(ring, P.elements)
+    next(cosets)  # P itself
+    outside = [(r, sum(1 << y for y in coset)) for r, coset in cosets]
+    for x in xs:
+        colon = mask
+        for r, coset_mask in outside:
+            if (mask >> mul(r, x)) & 1:
+                colon |= coset_mask
+        yield Ideal(ring, colon)
+
+
 def colon_elem(I: Ideal, x: int) -> Ideal:
-    """(I : x) = elements r with r*x in I."""
-    ring = I.ring
-    mask = 0
-    for r in range(ring.size):
-        if (I.mask >> ring.mul(r, x)) & 1:
-            mask |= 1 << r
-    return Ideal(ring, mask)
+    """(I : x) = elements r with r*x in I: :func:`colon_ideals` for one x."""
+    return next(colon_ideals(I, (x,)))
 
 
 def is_prime_ideal(I: Ideal) -> bool:
@@ -404,17 +423,17 @@ def is_s_prime(S: MultiplicativeSet, P: Ideal) -> SPrimeWitness | None:
 
     Returns a witness carrying the least s from :func:`definitional_witness`
     and the least s' with (P : s') prime, found independently by
-    :func:`colon_elem` and :func:`is_prime_ideal`; a disagreement raises.
-    Members often share a colon ideal, so each distinct (P : s') is tested
-    for primality once, at the least member giving it.
+    :func:`colon_ideals` and :func:`is_prime_ideal`; a disagreement raises.
+    The colon ideals come from one walk of the cosets of P, and members often
+    share a colon ideal, so each distinct (P : s') is tested for primality
+    once, at the least member giving it.
     """
     require_commutative(P.ring, "this ideal-theoretic operation")
     if not P.is_proper or P.mask & S.mask:
         return None
     definitional = definitional_witness(S, P)
     colon_hit, tested = None, set()
-    for s in S.members:
-        colon = colon_elem(P, s)
+    for s, colon in zip(S.members, colon_ideals(P, S.members)):
         if colon.mask not in tested:
             tested.add(colon.mask)
             if is_prime_ideal(colon):
@@ -473,8 +492,7 @@ def dominant_colon_witness(S: MultiplicativeSet, P: Ideal) -> tuple[int, Ideal]:
     The colon family is directed ((P:s) and (P:t) both sit inside (P:st)),
     so a finite ring always has a unique maximal member.
     """
-    ring = P.ring
-    colons = [(s, colon_elem(P, s)) for s in S.members]
+    colons = list(zip(S.members, colon_ideals(P, S.members)))
     best_mask = 0
     for _, C in colons:
         best_mask |= C.mask

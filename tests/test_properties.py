@@ -4,9 +4,9 @@ Each drawn expression is realized under a 36-element cap and checked
 against brute-force scans: the ring axioms, the literal round trip, both
 equation solvers (the memoized lists and each carrier's own random solver),
 the degree-1 zero-product pair streams and their one-product kill mask,
-and on commutative carriers the ideal lattice, the primality of every
-ideal, the definitional S-prime witness of every proper ideal and the
-localization kernel.
+and on commutative carriers the ideal lattice, the colon ideal of every
+ideal by every element, the primality of every ideal, the definitional
+S-prime witness of every proper ideal and the localization kernel.
 """
 
 import itertools
@@ -30,7 +30,7 @@ from sring import (
     mult_closure,
     verify_ring_axioms,
 )
-from sring.ideals import definitional_witness, zero_ideal
+from sring.ideals import colon_ideals, definitional_witness, zero_ideal
 from sring.predicates import _exhaustive_vector_pairs, _sampled_vector_pairs
 from sring.rings import freeze_literal, ideal_span, power_cycle
 
@@ -134,6 +134,12 @@ def _scanned_definitional_witness(S, P):
     return None
 
 
+def _scanned_colon(I, x):
+    """Bitmask of (I : x) by scan: every r of the ring with r*x in I."""
+    ring, mask = I.ring, I.mask
+    return sum(1 << r for r in range(ring.size) if (mask >> ring.mul(r, x)) & 1)
+
+
 def _scanned_is_prime(I):
     """Proper, and no pair (a, b) of elements outside I, all n^2 of them,
     has ab in I."""
@@ -170,6 +176,8 @@ def test_random_expressions_against_scans(expr, data):
         g = ring.one
     S = mult_closure(ring, (g,))
     for I in ideals:
+        assert [C.mask for C in colon_ideals(I, range(n))] == \
+            [_scanned_colon(I, x) for x in range(n)]
         assert is_prime_ideal(I) == _scanned_is_prime(I)
         if I.is_proper:
             assert definitional_witness(S, I) == _scanned_definitional_witness(S, I)

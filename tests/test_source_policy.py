@@ -20,9 +20,11 @@
   module of the package names the cache, its size limit or a property
   that reports it, so no caller picks a path by it.
 - The two S-prime criteria stay independent oracles: nothing that
-  ``colon_elem``, ``is_prime_ideal`` or ``dominant_colon_witness`` calls,
-  directly or through other functions of the package, is
-  ``definitional_witness``.
+  ``colon_ideals``, ``colon_elem``, ``is_prime_ideal`` or
+  ``dominant_colon_witness`` calls or reads as an attribute, directly or
+  through other functions of the package, is ``definitional_witness``, a
+  solver, ``is_unit`` or the members' ``carriers`` and ``killers`` tables:
+  the colon criterion uses only ``add`` and ``mul``.
 - The README's "Special paths" table names only code that exists, and it
   lists every carrier's own ``_solve_random`` and every size limit of
   ``rings.py``: a special path is kept while a measurement pays for it,
@@ -229,14 +231,17 @@ def test_special_paths_table_names_existing_code_and_every_limit():
 
 def called_names(sources) -> dict[str, set[str]]:
     """Per function or method name in ``sources``, the names its body calls
-    (a bare name or the attribute after the last dot); definitions that
-    share a name share one entry."""
+    (a bare name or the attribute after the last dot) and the attributes it
+    reads, so that a property or a bound method taken first and called later
+    counts too; definitions that share a name share one entry."""
     calls: dict[str, set[str]] = {}
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 calls.setdefault(node.name, set()).update(
-                    _called_name(c) for c in ast.walk(node) if isinstance(c, ast.Call))
+                    _called_name(c) if isinstance(c, ast.Call) else c.attr
+                    for c in ast.walk(node)
+                    if isinstance(c, (ast.Call, ast.Attribute)))
     return calls
 
 
@@ -253,12 +258,18 @@ def reachable_calls(calls: dict[str, set[str]], roots) -> set[str]:
     return seen
 
 
+COLON_FORBIDDEN = {"solve_mul_all", "solve_mul_random", "_solve_all", "is_unit",
+                   "carriers", "killers", "definitional_witness"}
+
+
 def test_colon_criterion_never_calls_the_definitional_test():
     calls = called_names(SOURCES)
-    colon = reachable_calls(calls, ("colon_elem", "is_prime_ideal",
+    colon = reachable_calls(calls, ("colon_ideals", "colon_elem", "is_prime_ideal",
                                     "dominant_colon_witness"))
-    assert "mul" in colon and "require_commutative" in colon
-    assert "definitional_witness" not in colon
-    # the test would pass vacuously if the name no longer resolved
+    assert {"add", "mul", "additive_cosets", "require_commutative"} <= colon
+    assert sorted(colon & COLON_FORBIDDEN) == []
+    # the test would pass vacuously if a name no longer resolved
     for caller in ("is_s_prime", "is_s_integral_domain"):
         assert "definitional_witness" in reachable_calls(calls, (caller,))
+    defined = {q.rpartition(".")[2] for q in defined_names(SOURCES)}
+    assert COLON_FORBIDDEN <= defined
