@@ -31,7 +31,6 @@ from .errors import MalformedExpressionError, SizeCapExceededError, SRingError, 
 from .ideals import (
     Ideal,
     MultiplicativeSet,
-    dominant_colon_witness,
     enumerate_ideals,
     ideal_intersection,
     ideal_product,
@@ -507,8 +506,8 @@ def _nils_in_colon(ctx: InstanceContext):
     nil_mask = ctx.nil_s.ideal.mask
     entries = []
     violations = []
-    for P, _ in ctx.spectrum:
-        s_p, colon = dominant_colon_witness(ctx.S, P)
+    for P, w in ctx.spectrum:
+        s_p, colon = w.colon_s, w.colon_prime
         entry = {"prime": ctx.lits(P.elements), "s_P": ctx.lit(s_p)}
         if not is_prime_ideal(colon):
             violations.append({**entry, "reason": "dominant colon ideal not prime",

@@ -8,7 +8,7 @@ byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import EmptySpectrumError, SRingError, ZeroInClosureError
 from .rings import (
@@ -153,7 +153,9 @@ class SPrimeWitness:
 
     ``s`` is the least member with ab in P forcing sa or sb in P, from
     :func:`definitional_witness`; ``colon_s`` is the least member with
-    (P : colon_s) prime, found by independent code.  The two may differ.
+    (P : colon_s) prime, found by independent code.  Every prime colon
+    ideal is the dominant one, so ``colon_prime`` is the largest (P : s)
+    and ``colon_s`` the least member giving it.  The two members may differ.
     """
 
     ideal: Ideal
@@ -423,29 +425,24 @@ def is_s_prime(S: MultiplicativeSet, P: Ideal) -> SPrimeWitness | None:
 
     Returns a witness carrying the least s from :func:`definitional_witness`
     and the least s' with (P : s') prime, found independently by
-    :func:`colon_ideals` and :func:`is_prime_ideal`; a disagreement raises.
-    The colon ideals come from one walk of the cosets of P, and members often
-    share a colon ideal, so each distinct (P : s') is tested for primality
-    once, at the least member giving it.
+    :func:`dominant_colon_witness` and :func:`is_prime_ideal`; a
+    disagreement raises.  If Q = (P : s) is prime then each u in S lies
+    outside Q (else su is in P and S), so (P : su) = (Q : u) = Q: every
+    prime colon is the dominant colon D, and P passes iff D is prime.
     """
     require_commutative(P.ring, "this ideal-theoretic operation")
     if not P.is_proper or P.mask & S.mask:
         return None
     definitional = definitional_witness(S, P)
-    colon_hit, tested = None, set()
-    for s, colon in zip(S.members, colon_ideals(P, S.members)):
-        if colon.mask not in tested:
-            tested.add(colon.mask)
-            if is_prime_ideal(colon):
-                colon_hit = (s, colon)
-                break
+    colon_s, colon = dominant_colon_witness(S, P)
+    colon_hit = (colon_s, colon) if is_prime_ideal(colon) else None
     if (definitional is None) != (colon_hit is None):
         raise SRingError(
             f"S-prime criteria disagree on {P!r}: definitional={definitional} "
             f"colon={colon_hit}")
     if definitional is None:
         return None
-    return SPrimeWitness(P, definitional, colon_hit[0], colon_hit[1])
+    return SPrimeWitness(P, definitional, colon_s, colon)
 
 
 def s_spectrum(ring: FiniteRing, S: MultiplicativeSet, *,
@@ -489,15 +486,18 @@ def spectrum_intersection(ring: FiniteRing,
 def dominant_colon_witness(S: MultiplicativeSet, P: Ideal) -> tuple[int, Ideal]:
     """Least s whose colon ideal (P : s) contains (P : s') for every s' in S.
 
-    The colon family is directed ((P:s) and (P:t) both sit inside (P:st)),
-    so a finite ring always has a unique maximal member.
+    With t the product of all members, t is in S and s divides t, so
+    (P : s) lies inside D = (P : t): D is the largest colon ideal.  One
+    :func:`colon_ideals` walk yields D first and then each member's colon,
+    in order, up to the first that equals D.  A colon outside D raises.
     """
-    colons = list(zip(S.members, colon_ideals(P, S.members)))
-    best_mask = 0
-    for _, C in colons:
-        best_mask |= C.mask
-    for s, C in colons:
-        if C.mask == best_mask:
+    t = reduce(P.ring.mul, S.members)
+    colons = colon_ideals(P, (t, *S.members))
+    dominant = next(colons)
+    for s, C in zip(S.members, colons):
+        if C.mask == dominant.mask:
             return s, C
+        if C.mask & ~dominant.mask:
+            break
     raise SRingError(
         f"colon family of {P!r} is not directed; no dominant member found")

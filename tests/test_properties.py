@@ -6,7 +6,11 @@ equation solvers (the memoized lists and each carrier's own random solver),
 the degree-1 zero-product pair streams and their one-product kill mask,
 and on commutative carriers the ideal lattice, the colon ideal of every
 ideal by every element, the primality of every ideal, the definitional
-S-prime witness of every proper ideal and the localization kernel.
+S-prime witness of every proper ideal, the dominant colon ideal and the
+colon verdict of every proper ideal missing S, and the localization
+kernel.  None of the drawn carriers has a nonzero coefficient product, so
+the kill-mask check also runs on Z4(+)Z4, where some products are not
+zero.
 """
 
 import itertools
@@ -26,11 +30,19 @@ from sring import (
     enumerate_ideals,
     is_prime_ideal,
     is_s_integral_domain,
+    is_u_s_armendariz_up_to,
     localize,
     mult_closure,
     verify_ring_axioms,
 )
-from sring.ideals import colon_ideals, definitional_witness, zero_ideal
+from sring.ideals import (
+    Ideal,
+    colon_ideals,
+    definitional_witness,
+    dominant_colon_witness,
+    is_s_prime,
+    zero_ideal,
+)
 from sring.predicates import _exhaustive_vector_pairs, _sampled_vector_pairs
 from sring.rings import freeze_literal, ideal_span, power_cycle
 
@@ -100,7 +112,8 @@ def _check_degree1_pair_streams(ring, seed):
     elements the walk is every (a0, a1, b0, b1) with a0*b0 = 0,
     a0*b1 + a1*b0 = 0 and a1*b1 = 0, in that lexicographic order; 300
     sampled pairs are genuine; and on every pair of both streams the kill
-    mask of a1*b0 alone equals that of all four coefficient products."""
+    mask of a1*b0 alone equals that of all four coefficient products.
+    Returns the pairs checked, sampled ones first."""
     n, zero = ring.size, ring.zero
     add, mul = ring.add, ring.mul
     kill = [sum(1 << s for s in range(n) if mul(s, p) == zero) for p in range(n)]
@@ -119,6 +132,7 @@ def _check_degree1_pair_streams(ring, seed):
         every = kill[mul(a[0], b[0])] & kill[mul(a[0], b[1])] \
             & kill[mul(a[1], b[0])] & kill[mul(a[1], b[1])]
         assert kill[mul(a[1], b[0])] == every
+    return pairs
 
 
 def _scanned_definitional_witness(S, P):
@@ -147,6 +161,25 @@ def _scanned_is_prime(I):
     outside = [a for a in range(ring.size) if not (mask >> a) & 1]
     return bool(outside) and not any((mask >> ring.mul(a, b)) & 1
                                      for a in outside for b in outside)
+
+
+def _check_colon_lemma(S, P):
+    """The colon criterion against scans of every member's colon ideal,
+    for a proper P missing S: the dominant witness is the least member
+    whose colon is the union of them all, and P passes iff some scanned
+    colon is prime, at the least such member."""
+    colons = {s: _scanned_colon(P, s) for s in S.members}
+    union = 0
+    for mask in colons.values():
+        union |= mask
+    least = next(s for s, mask in colons.items() if mask == union)
+    s, C = dominant_colon_witness(S, P)
+    assert (s, C.mask) == (least, union)
+    prime = [s for s, mask in colons.items() if _scanned_is_prime(Ideal(P.ring, mask))]
+    w = is_s_prime(S, P)
+    assert (w is not None) == bool(prime)
+    if prime:
+        assert (w.colon_s, w.colon_prime.mask) == (prime[0], colons[prime[0]])
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -181,9 +214,41 @@ def test_random_expressions_against_scans(expr, data):
         assert is_prime_ideal(I) == _scanned_is_prime(I)
         if I.is_proper:
             assert definitional_witness(S, I) == _scanned_definitional_witness(S, I)
+            if not I.mask & S.mask:
+                _check_colon_lemma(S, I)
     assert definitional_witness(S, zero_ideal(ring)) == is_s_integral_domain(ring, S)
     kernel = [x for x in range(n) if any(ring.mul(s, x) == ring.zero
                                          for s in S.members)]
     loc = localize(ring, S)
     assert list(loc.torsion_kernel.elements) == kernel
     assert [x for x in range(n) if loc.ring.project(x) == loc.ring.zero] == kernel
+
+
+def test_kill_mask_on_informative_pairs():
+    """Z4(+)Z4 has degree-1 zero-product pairs with a1*b0 != 0: 96 of its
+    1,408.  With S the unit group, which kills no nonzero element, the
+    exhaustive verdict must match a scan of all four products per pair."""
+    ring = build_ring(Idealization(ZMod(4), ModuleSpec(((0,),))))
+    zero, mul = ring.zero, ring.mul
+    pairs = _check_degree1_pair_streams(ring, 0)
+    assert any(mul(a[1], b[0]) != zero for a, b in pairs)
+    S = mult_closure(ring, [u for u in range(ring.size) if ring.is_unit(u)])
+    scan = list(_exhaustive_vector_pairs(ring, 1))
+    assert len(scan) == 1408
+    assert sum(mul(a[1], b[0]) != zero for a, b in scan) == 96
+    uniform, histogram, every = S.mask, {}, True
+    for a, b in scan:
+        mask = S.mask
+        for x, y in itertools.product(a, b):
+            mask &= sum(1 << s for s in S.members if mul(s, mul(x, y)) == zero)
+        uniform &= mask
+        if mask:
+            least = (mask & -mask).bit_length() - 1
+            histogram[least] = histogram.get(least, 0) + 1
+        every = every and bool(mask)
+    verdict = is_u_s_armendariz_up_to(ring, S, 1, mode="exhaustive")
+    assert verdict.pairs_checked == len(scan)
+    assert verdict.uniform_witness == (
+        (uniform & -uniform).bit_length() - 1 if uniform else None)
+    assert verdict.per_pair_ok == every
+    assert verdict.per_pair_histogram == histogram

@@ -24,7 +24,10 @@
   ``dominant_colon_witness`` calls or reads as an attribute, directly or
   through other functions of the package, is ``definitional_witness``, a
   solver, ``is_unit`` or the members' ``carriers`` and ``killers`` tables:
-  the colon criterion uses only ``add`` and ``mul``.
+  the colon criterion uses only ``add`` and ``mul``.  ``is_s_prime`` reaches
+  both criteria, ``definitional_witness`` on one side and
+  ``dominant_colon_witness`` and ``is_prime_ideal`` on the other, so the
+  check cannot pass on a colon side that nothing runs.
 - The README's "Special paths" table names only code that exists, and it
   lists every carrier's own ``_solve_random`` and every size limit of
   ``rings.py``: a special path is kept while a measurement pays for it,
@@ -271,5 +274,6 @@ def test_colon_criterion_never_calls_the_definitional_test():
     # the test would pass vacuously if a name no longer resolved
     for caller in ("is_s_prime", "is_s_integral_domain"):
         assert "definitional_witness" in reachable_calls(calls, (caller,))
+    assert {"dominant_colon_witness", "is_prime_ideal"} <= reachable_calls(calls, ("is_s_prime",))
     defined = {q.rpartition(".")[2] for q in defined_names(SOURCES)}
     assert COLON_FORBIDDEN <= defined
