@@ -301,39 +301,81 @@ def s_strongly_hopfian_profile(ring: FiniteRing,
 
 
 def _exhaustive_vector_pairs(ring: FiniteRing, degree: int):
-    """All coefficient-vector pairs (a, b) of length degree+1 with a*b = 0.
+    """All coefficient-vector pairs (a, b) of length D+1 = degree+1 with a*b = 0.
 
-    For each left vector the solutions are enumerated by walking the
-    convolution conditions in order; condition k pins coefficient b_k via
-    a_0 * b_k = -(rest), so the walk only ever visits genuine prefixes.  At
-    degree 1 that pins b0 by a0*b0 = 0 and b1 by a0*b1 = -(a1*b0), and the
-    trailing condition a1*b1 = 0 is checked on the full vector.
+    Condition m of a*b = 0 is the sum of a_i*b_{m-i} = 0.  For every head
+    a_0..a_{D-1}, the prefixes b_0..b_{D-1} are built level by level:
+    condition k pins b_k by a_0*b_k = -(a_1*b_{k-1} + ... + a_k*b_0), which
+    reads the head only, so one list of prefixes serves every last
+    coefficient a_D.  The last coefficient b_D must then meet conditions
+    D+j for j = 0..D, each a_j*b_D = -(sum of a_i*b_{D+j-i}, i = j+1..D).
+    Per prefix, the terms with i < D are summed once; the term a_D*b_j is
+    read off a table of -(c*b_j) per c.  Condition D (j = 0) lists the
+    candidates, from ``solve_mul_all``; the others make one bitmask of the
+    b_D that meet them all: the annihilator of a_D for j = D, and for
+    0 < j < D the solutions of a_j*x = target, memoized per (a_j, target).
+    So a candidate costs one bit test.  Factors keep their order, as the
+    triangular carrier is noncommutative.  The pairs come in the order of
+    a, then of each coefficient of b in its solution list.
     """
     size = ring.size
     add, mul, neg = ring.add, ring.mul, ring.neg
     solve = ring.solve_mul_all
+    zero = ring.zero
     D = degree
-    for a in itertools.product(range(size), repeat=D + 1):
-        stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-        while stack:
-            k, b = stack.pop()
-            if k > D:
-                ok = True
-                for m in range(D + 1, 2 * D + 1):
-                    t = ring.zero
-                    for i in range(m - D, D + 1):
-                        t = add(t, mul(a[i], b[m - i]))
-                    if t != ring.zero:
-                        ok = False
-                        break
-                if ok:
-                    yield a, b
-                continue
-            t = ring.zero
-            for i in range(1, k + 1):
-                t = add(t, mul(a[i], b[k - i]))
-            for x in reversed(solve(a[0], neg(t))):
-                stack.append((k + 1, b + (x,)))
+    elements = range(size)
+    annihilators = [annihilator_mask(ring, c) for c in elements]
+    nothing = [zero] * size  # -(c*0): condition 2D has no a_D term to add
+    columns: dict[int, list[int]] = {}  # x -> -(c*x) for every c
+    masks: dict[int, int] = {}  # c * size + t -> solutions of c*x = t
+    for head in itertools.product(elements, repeat=D):
+        prefixes: list[tuple[int, ...]] = [()]
+        for k in range(D):
+            longer = []
+            for b in prefixes:
+                t = zero
+                for i in range(1, k + 1):
+                    t = add(t, mul(head[i], b[k - i]))
+                longer.extend([b + (x,) for x in solve(head[0], neg(t))])
+            prefixes = longer
+        # per prefix and j = 0..D: condition D+j without its a_D term,
+        # and the column that gives -(a_D*b_j)
+        known = []
+        for b in prefixes:
+            partial = []
+            for j in range(D + 1):
+                t = zero
+                for i in range(j + 1, D):
+                    t = add(t, mul(head[i], b[D + j - i]))
+                partial.append(neg(t))
+            tables = []
+            for x in b:
+                column = columns.get(x)
+                if column is None:
+                    column = columns[x] = [neg(mul(c, x)) for c in elements]
+                tables.append(column)
+            tables.append(nothing)
+            known.append((b, partial, tables))
+        for last in elements:
+            a = head + (last,)
+            a0 = a[0]
+            top = annihilators[last]
+            for b, partial, tables in known:
+                mask = top
+                for j in range(1, D):
+                    t = add(partial[j], tables[j][last])
+                    key = a[j] * size + t
+                    m = masks.get(key)
+                    if m is None:
+                        m = 0
+                        for x in solve(a[j], t):
+                            m |= 1 << x
+                        masks[key] = m
+                    mask &= m
+                if mask:
+                    for x in solve(a0, add(partial[0], tables[0][last])):
+                        if mask >> x & 1:
+                            yield a, b + (x,)
 
 
 def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int):

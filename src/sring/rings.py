@@ -535,9 +535,10 @@ class IdealizationRing(MixedRadixRing):
     carrier itself.  The digits are (M, R), so index r * |M| + m names
     (r, m), and (r1, m1)(r2, m2) = (r1r2, r1m2 + r2m1), so (0, m) squares to
     zero.  Every operation is one base operation and one module operation,
-    whatever the number of components.  Built without an expression, it
-    names each component by its quotient's ideal, so :func:`build_ring`
-    realizes it.
+    whatever the number of components.  For its random solver it also keeps
+    ``_scaled`` negated and, per r, the bitmask of act[r]*M.  Built without
+    an expression, it names each component by its quotient's ideal, so
+    :func:`build_ring` realizes it.
     """
 
     def __init__(self, base: FiniteRing, components: tuple[QuotientRing, ...],
@@ -553,6 +554,10 @@ class IdealizationRing(MixedRadixRing):
         self._act = [module._join(c.project(r) for c in module.digits)
                      for r in range(base.size)]
         self._scaled = [module.mul(u, m) for u in self._act for m in range(ms)]
+        self._minus_scaled = [module.neg(v) for v in self._scaled]
+        # per r, the bitmask of act[r]*M: the module targets r can meet
+        self._images = [sum(1 << v for v in set(self._scaled[r * ms:(r + 1) * ms]))
+                        for r in range(base.size)]
         self._install_op_tables()
 
     def mul(self, a, b):
@@ -598,21 +603,23 @@ class IdealizationRing(MixedRadixRing):
 
     def _solve_random(self, a, t, rng):
         # the module equation is solvable or not depending on y, so walk the
-        # y-candidates from a random offset instead of blind retries
+        # y-candidates from a random offset instead of blind retries; a y
+        # whose target lies outside act[r]*M is skipped without a call, as
+        # the module solver would return None for it without drawing
         ms = self.module_size
-        module, scaled = self.module, self._scaled
+        add, minus = self.module.add, self._minus_scaled
         r, m = divmod(a, ms)
         tr, tm = divmod(t, ms)
         ys = self.base.solve_mul_all(r, tr)
         if not ys:
             return None
-        ar = self._act[r]
+        image = self._images[r]
         start = int(rng.random() * len(ys))
         for k in range(min(len(ys), 16)):
             yms = ys[(start + k) % len(ys)] * ms
-            x = module.solve_mul_random(ar, module.sub(tm, scaled[yms + m]), rng)
-            if x is not None:
-                return yms + x
+            u = add(tm, minus[yms + m])
+            if image >> u & 1:
+                return yms + self.module.solve_mul_random(self._act[r], u, rng)
         return None
 
 
@@ -627,7 +634,9 @@ class TriangularERing(MixedRadixRing):
     Multiplication and the solvers run on flat tables of the base: indexed
     p * n + q for base elements p and q, its ``add``, ``mul`` and ``sub``
     and its complete solution lists of p*x = q.  So even above
-    ``OP_TABLE_LIMIT`` they make no call into the base per digit.
+    ``OP_TABLE_LIMIT`` they make no call into the base per digit.  They
+    split an index once, into the halves a * n + b and c * n + d, and read
+    each half's two digits, plain or times n, off tables of n*n entries.
     """
 
     def __init__(self, base: FiniteRing):
@@ -641,25 +650,29 @@ class TriangularERing(MixedRadixRing):
         self._sub_t = _digitwise_table((base,), "sub")
         self._solutions_t = [base.solve_mul_all(p, q)
                              for p in range(n) for q in range(n)]
+        # an index is two halves p * n + q, (a, b) and (c, d): their digits
+        # (p, q) and, as rows of the base tables, (p * n, q * n)
+        self._digits_t = [divmod(h, n) for h in range(n * n)]
+        self._rows_t = [(h - h % n, h % n * n) for h in range(n * n)]
         self._install_op_tables()
 
     def mul(self, x, y):
         # (a1 b1 c1; 0 a1 d1; 0 0 a1)(a2 b2 c2; 0 a2 d2; 0 0 a2) =
         # (a1a2, a1b2 + b1a2, a1c2 + b1d2 + c1a2, a1d2 + d1a2)
         n = self.base.size
-        at, mt = self._add_t, self._mul_t
-        x, d1 = divmod(x, n)
-        x, c1 = divmod(x, n)
-        a1, b1 = divmod(x, n)
-        y, d2 = divmod(y, n)
-        y, c2 = divmod(y, n)
-        a2, b2 = divmod(y, n)
-        a1, b1 = a1 * n, b1 * n
+        nn = n * n
+        at, mt, rows, digits = self._add_t, self._mul_t, self._rows_t, self._digits_t
+        x, x_low = divmod(x, nn)
+        y, y_low = divmod(y, nn)
+        a1, b1 = rows[x]
+        c1, d1 = rows[x_low]
+        a2, b2 = digits[y]
+        c2, d2 = digits[y_low]
         a = mt[a1 + a2]
         b = at[mt[a1 + b2] * n + mt[b1 + a2]]
-        c = at[at[mt[a1 + c2] * n + mt[b1 + d2]] * n + mt[c1 * n + a2]]
-        d = at[mt[a1 + d2] * n + mt[d1 * n + a2]]
-        return ((a * n + b) * n + c) * n + d
+        c = at[at[mt[a1 + c2] * n + mt[b1 + d2]] * n + mt[c1 + a2]]
+        d = at[mt[a1 + d2] * n + mt[d1 + a2]]
+        return (a * n + b) * nn + c * n + d
 
     def decode(self, index):
         return tuple(self.base.decode(x) for x in reversed(self._split(index)))
@@ -679,16 +692,12 @@ class TriangularERing(MixedRadixRing):
         a: a*x = t0, a*y = t1 - b*x, a*w = t3 - d*x and a*z = t2 - b*w - c*x.
         Every digit but t0 comes times n, as a row of the base tables.
         """
-        n = self.base.size
-        alpha, d = divmod(alpha, n)
-        alpha, c = divmod(alpha, n)
-        a, b = divmod(alpha, n)
-        tau, t3 = divmod(tau, n)
-        tau, t2 = divmod(tau, n)
-        t0, t1 = divmod(tau, n)
-        a, b, c, d = a * n, b * n, c * n, d * n
-        t1, t2, t3 = t1 * n, t2 * n, t3 * n
-        return a, b, c, d, t0, t1, t2, t3
+        nn = self.base.size ** 2
+        rows = self._rows_t
+        alpha, alpha_low = divmod(alpha, nn)
+        tau, tau_low = divmod(tau, nn)
+        return (*rows[alpha], *rows[alpha_low], self._digits_t[tau][0], rows[tau][1],
+                *rows[tau_low])
 
     def _solve_all(self, alpha, tau):
         n = self.base.size

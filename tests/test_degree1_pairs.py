@@ -1,13 +1,17 @@
-"""Degree-1 zero-product streams and checks against the generic code.
+"""Zero-product streams of the pair engine checked against reference code.
 
-The references are the generic coefficient-by-coefficient sampler and the
-stack walk over the convolution conditions, copied here as they run at
-degree >= 2, and the kill mask of all coefficient products of a pair.  The
-sampler's degree-1 block calls ``solve_mul_random`` without the generic
-loops, on carriers that memoize solution lists and on larger ones; it must
-give the same pairs in the same order.  The walk is the generic one at
-every degree.  The verdict checks degree**2 products per pair (one at
-degree 1); they must give the same masks.
+The references are the generic coefficient-by-coefficient sampler, the
+stack walk that enumerated pairs before the mask-filtered walk, both
+copied here as they ran, a brute-force filter of every vector pair, and
+the kill mask of all coefficient products of a pair.  The sampler's
+degree-1 block calls ``solve_mul_random`` without the generic loops, on
+carriers that memoize solution lists and on larger ones; it must give the
+same pairs in the same order.  The exhaustive walk shares each prefix
+b_0..b_{D-1} among the last coefficients a_D and tests each candidate b_D
+against one bitmask of its trailing conditions; it must give the stack
+walk's pairs in the stack walk's order at every degree, on commutative
+carriers and on the noncommutative E(Z2).  The verdict checks degree**2
+products per pair (one at degree 1); they must give the same masks.
 """
 
 import itertools
@@ -135,6 +139,61 @@ def test_degree1_exhaustive_walk_matches_generic_walk(expr):
     ring = build_ring(expr)
     assert list(_exhaustive_vector_pairs(ring, 1)) == \
         list(generic_exhaustive_pairs(ring, 1))
+
+
+WALK_RINGS = {
+    "Z12": ZMod(12),
+    "Z4": ZMod(4),
+    "Z2xZ4": Product((ZMod(2), ZMod(4))),
+    "Z4(+)Z4": Idealization(ZMod(4), ModuleSpec(((0,),))),
+    "E(Z2)": TriangularE(ZMod(2)),
+}
+
+
+# the stack walk visits every left vector: at most 4096 of them here, so
+# degree 3 runs on Z4 and Z2xZ4 only
+WALK_CASES = [(name, degree) for name, expr in WALK_RINGS.items()
+              for degree in range(4)
+              if build_ring(expr).size ** (degree + 1) <= 4096]
+
+
+@pytest.mark.parametrize("name,degree", WALK_CASES)
+def test_exhaustive_walk_matches_stack_walk(name, degree):
+    ring = build_ring(WALK_RINGS[name])
+    got = list(_exhaustive_vector_pairs(ring, degree))
+    assert got == list(generic_exhaustive_pairs(ring, degree))
+    assert any(any(b) for _, b in got)
+
+
+def brute_force_pairs(ring, degree):
+    """Every vector pair (a, b) with a*b = 0, a on the left, by filtering
+    all of them in lexicographic order."""
+    D = degree
+    vectors = list(itertools.product(range(ring.size), repeat=D + 1))
+    for a in vectors:
+        for b in vectors:
+            if all(_convolution(ring, a, b, m) == ring.zero
+                   for m in range(2 * D + 1)):
+                yield a, b
+
+
+def _convolution(ring, a, b, m):
+    t = ring.zero
+    for i in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1):
+        t = ring.add(t, ring.mul(a[i], b[m - i]))
+    return t
+
+
+@pytest.mark.parametrize("name", ["Z4", "E(Z2)"])
+def test_exhaustive_walk_matches_brute_force_at_degree_1(name):
+    # every solution list ascends, so the walk runs in lexicographic order
+    ring = build_ring(WALK_RINGS[name])
+    got = list(_exhaustive_vector_pairs(ring, 1))
+    assert got == list(brute_force_pairs(ring, 1))
+    # E(Z2) is noncommutative: some pair of the walk fails with b on the left
+    swapped = [(a, b) for a, b in got
+               if any(_convolution(ring, b, a, m) != ring.zero for m in range(3))]
+    assert bool(swapped) == (name == "E(Z2)")
 
 
 def test_generic_references_agree_at_degree_2():

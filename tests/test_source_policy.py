@@ -32,6 +32,10 @@
   lists every carrier's own ``_solve_random`` and every size limit of
   ``rings.py``: a special path is kept while a measurement pays for it,
   and the table is where that measurement is cited.
+- The exhaustive pair walk never branches on its degree: no comparison of
+  ``degree``, or a name bound to it, with a literal and no test of its
+  truth, so one walk over solution lists serves every degree.  The
+  sampler's degree-1 block is a listed special path and is not checked.
 """
 
 import ast
@@ -277,3 +281,45 @@ def test_colon_criterion_never_calls_the_definitional_test():
     assert {"dominant_colon_witness", "is_prime_ideal"} <= reachable_calls(calls, ("is_s_prime",))
     defined = {q.rpartition(".")[2] for q in defined_names(SOURCES)}
     assert COLON_FORBIDDEN <= defined
+
+
+def degree_branches(source: str, function: str) -> list[str]:
+    """``line: code`` for each comparison of ``degree`` (or a name bound
+    to it) with a literal inside ``function``, and each test of its truth:
+    a branch that picks a path by degree."""
+    tree = ast.parse(source)
+    (node,) = [n for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef) and n.name == function]
+    aliases = {"degree"} | {
+        t.id for n in ast.walk(node) if isinstance(n, ast.Assign)
+        and isinstance(n.value, ast.Name) and n.value.id == "degree"
+        for t in n.targets if isinstance(t, ast.Name)}
+
+    def is_degree(expr) -> bool:
+        if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Not):
+            expr = expr.operand
+        return isinstance(expr, ast.Name) and expr.id in aliases
+
+    found = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Compare):
+            operands = [n.left, *n.comparators]
+            if (any(is_degree(o) for o in operands)
+                    and any(isinstance(o, ast.Constant) for o in operands)):
+                found.append(n)
+        elif isinstance(n, (ast.If, ast.IfExp, ast.While)) and is_degree(n.test):
+            found.append(n)
+        elif isinstance(n, ast.BoolOp) and any(is_degree(v) for v in n.values):
+            found.append(n)
+    return [f"{n.lineno}: {ast.unparse(n)}" for n in found]
+
+
+def test_exhaustive_walk_has_no_degree_branch():
+    # one odometer over solution lists serves every degree
+    source = (ROOT / "src" / "sring" / "predicates.py").read_text()
+    assert degree_branches(source, "_exhaustive_vector_pairs") == []
+    # the check sees the sampler's degree-1 block, so it is not vacuous
+    assert degree_branches(source, "_sampled_vector_pairs")
+    planted = ("def walk(ring, degree):\n    D = degree\n"
+               "    x = 0 if D else 1\n    if 1 < degree:\n        pass\n")
+    assert len(degree_branches(planted, "walk")) == 2
