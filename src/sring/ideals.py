@@ -248,7 +248,7 @@ def enumerate_ideals(ring: FiniteRing, *, cap: int = DEFAULT_IDEAL_CAP) -> list[
         return True
 
     mul = ring.mul
-    units = [u for u in range(ring.size) if ring.is_unit(u)]
+    units = [u for u, unit in enumerate(ring.unit_flags) if unit]
     done = bytearray(ring.size)
     principals = []
     for x in range(ring.size):

@@ -378,6 +378,29 @@ def _exhaustive_vector_pairs(ring: FiniteRing, degree: int):
                             yield a, b + (x,)
 
 
+class _DrawCounter:
+    """Stands in for ``random.Random`` in a solver call and counts the
+    random numbers the call takes; each one is 0.0."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return 0.0
+
+
+def _draws_per_unit_solve(ring: FiniteRing) -> int:
+    """Random numbers ``solve_mul_random`` takes for one*x = 0 on ``ring``.
+
+    With a unit on the left every equation has one solution, and so has
+    each base or module equation a carrier's own solver splits it into, so
+    a solver takes the same draws for every unit and every target."""
+    counter = _DrawCounter()
+    ring.solve_mul_random(ring.one, ring.zero, counter)
+    return counter.draws
+
+
 def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int):
     """Seeded stream of exactly ``budget`` genuine zero-product vector pairs.
 
@@ -388,6 +411,12 @@ def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int)
     up to 3 draws of the last one against the trailing conditions.  Degree 1
     runs the same draws in the same order without the generic loops: b0
     with a0*b0 = 0, then b1 with a0*b1 = -(a1*b0), kept if a1*b1 = 0.
+
+    A unit a0 forces b = 0: each condition a0*b_k = -(terms in b_0..b_{k-1})
+    then reads a0*b_k = 0.  Both paths yield the zero vector for it without
+    a solver call, and burn the degree + 1 solves' worth of draws the first
+    attempt would take (:func:`_draws_per_unit_solve` each).  The burned
+    draws exist only to keep the stream that of the solve chain.
     """
     rng = random.Random(seed)
     rnd = rng.random
@@ -395,11 +424,18 @@ def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int)
     add, mul, neg = ring.add, ring.mul, ring.neg
     solve = ring.solve_mul_random
     zero = ring.zero
+    units = ring.unit_flags
+    burned = range((degree + 1) * _draws_per_unit_solve(ring))
     if degree == 1:
         zero_vec = (zero, zero)
         for _ in range(budget):
             a0 = int(rnd() * size)
             a1 = int(rnd() * size)
+            if units[a0]:
+                for _ in burned:
+                    rnd()
+                yield (a0, a1), zero_vec
+                continue
             b = None
             for _ in range(2):
                 b0 = solve(a0, zero, rng)
@@ -423,6 +459,12 @@ def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int)
     emitted = 0
     while emitted < budget:
         a = tuple([int(rnd() * size) for _ in coefficients])
+        if units[a[0]]:
+            for _ in burned:
+                rnd()
+            yield a, zero_vec
+            emitted += 1
+            continue
         b = None
         for _ in range(2):
             cand = []

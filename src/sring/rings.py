@@ -192,6 +192,7 @@ class FiniteRing:
         self.one = one
         self._solutions_cache: dict[int, list[int]] | None = (
             {} if size <= SOLUTION_CACHE_LIMIT else None)
+        self._unit_flags: bytes | None = None
 
     def _install_op_tables(self) -> None:
         """Bind ``add``/``mul``/``neg`` to flat operation tables (size*size
@@ -272,6 +273,28 @@ class FiniteRing:
 
     def is_unit(self, a: int) -> bool:
         return bool(self.solve_mul_all(a, self.one))
+
+    @property
+    def unit_flags(self) -> bytes:
+        """Per element, 1 for a unit and 0 otherwise, built on first use.
+
+        The table lives in an attribute that ``__init__`` sets, not in a
+        ``functools.cached_property``: that writes the instance ``__dict__``
+        directly, and on CPython 3.11 every later attribute read of the
+        ring, as ``mul`` and the solvers make, is then a slower dictionary
+        lookup.
+        """
+        flags = self._unit_flags
+        if flags is None:
+            flags = self._unit_flags = self._build_unit_flags()
+        return flags
+
+    def _build_unit_flags(self) -> bytes:
+        """The flags from :meth:`is_unit`, which solves a*x = 1 once per
+        element.  Idealization and triangular carriers override it by
+        repeating their base's flags, as an element of either is a unit iff
+        its base digit is."""
+        return bytes(self.is_unit(a) for a in range(self.size))
 
     def __reduce__(self):
         # the expression was realized under its cap and its axioms sampled
@@ -586,6 +609,11 @@ class IdealizationRing(MixedRadixRing):
             )
         return self.base.encode(r_lit) * self.module_size + self.module.encode(m_lits)
 
+    def _build_unit_flags(self) -> bytes:
+        # (r, m) with r a unit has the inverse (1/r, -m/r**2), and r*y = 1
+        # needs a unit r; index r * |M| + m puts each flag |M| times in a row
+        return b"".join(bytes([f]) * self.module_size for f in self.base.unit_flags)
+
     def _solve_all(self, a, t):
         # (r, m)(y, x) = (ry, rx + ym): y solves the base equation, then x
         # solves act[r]*x = tm - y*m in the module; both lists ascend
@@ -684,6 +712,12 @@ class TriangularERing(MixedRadixRing):
                 f"expected [a,b,c,d] literal for {self.label}, got {literal!r}"
             )
         return self._join(reversed([self.base.encode(x) for x in literal]))
+
+    def _build_unit_flags(self) -> bytes:
+        # a triangular matrix is a unit iff its diagonal digit a is, and a
+        # is the most significant digit, so each flag covers n**3 indices
+        n = self.base.size
+        return b"".join(bytes([f]) * n ** 3 for f in self.base.unit_flags)
 
     def _equations(self, alpha, tau) -> tuple[int, ...]:
         """The digits of alpha = (a, b, c, d) and tau = (t0, t1, t2, t3).

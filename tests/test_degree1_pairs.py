@@ -6,10 +6,14 @@ copied here as they ran, a brute-force filter of every vector pair, and
 the kill mask of all coefficient products of a pair.  The sampler's
 degree-1 block calls ``solve_mul_random`` without the generic loops, on
 carriers that memoize solution lists and on larger ones; it must give the
-same pairs in the same order.  The exhaustive walk shares each prefix
-b_0..b_{D-1} among the last coefficients a_D and tests each candidate b_D
-against one bitmask of its trailing conditions; it must give the stack
-walk's pairs in the stack walk's order at every degree, on commutative
+same pairs in the same order.  Both paths of the sampler skip the solver
+for a unit a_0 and burn the draws it would take; the reference calls it,
+so the streams agree only if the burned draws are exactly those, which
+carriers with many units (E(Z7), a two-component module) check at
+degrees 1 and 2.  The exhaustive walk shares each prefix b_0..b_{D-1}
+among the last coefficients a_D and tests each candidate b_D against one
+bitmask of its trailing conditions; it must give the stack walk's pairs
+in the stack walk's order at every degree, on commutative
 carriers and on the noncommutative E(Z2).  The verdict checks degree**2
 products per pair (one at degree 1); they must give the same masks.
 """
@@ -119,19 +123,35 @@ CACHED = {
 UNCACHED = {
     "E(Z5)": TriangularE(ZMod(5)),
     "Z24(+)Z24": Idealization(ZMod(24), ModuleSpec(((0,),))),
+    "E(Z7)": TriangularE(ZMod(7)),  # 2,401 elements, 86% units
+    "Z16(+)(0;2)": Idealization(ZMod(16), ModuleSpec(((0,), (2,)))),
 }
+SAMPLED = {**CACHED, **UNCACHED}
 
 
-@pytest.mark.parametrize("name", [*CACHED, *UNCACHED])
+def _check_sampled_stream(ring, degree, seed, budget):
+    got = list(_sampled_vector_pairs(ring, degree, seed, budget))
+    assert got == list(generic_sampled_pairs(ring, degree, seed, budget))
+    # the unit skip and the solve chain both run, and the chain finds
+    # nonzero right vectors
+    units = ring.unit_flags
+    assert any(units[a[0]] for a, _ in got)
+    assert any(any(b) for a, b in got if not units[a[0]])
+
+
+@pytest.mark.parametrize("name", list(SAMPLED))
 @pytest.mark.parametrize("seed", [0, 5, 42])
 def test_degree1_sampled_stream_matches_generic_sampler(name, seed):
-    ring = build_ring({**CACHED, **UNCACHED}[name], size_cap=1296)
+    ring = build_ring(SAMPLED[name], size_cap=2401)
     # carriers on both sides of the solution cache are covered
     assert (ring.size <= SOLUTION_CACHE_LIMIT) == (name in CACHED)
-    budget = 3000 if name in CACHED else 1500
-    got = list(_sampled_vector_pairs(ring, 1, seed, budget))
-    assert got == list(generic_sampled_pairs(ring, 1, seed, budget))
-    assert any(b != (0, 0) for _, b in got)
+    _check_sampled_stream(ring, 1, seed, 3000 if name in CACHED else 1500)
+
+
+@pytest.mark.parametrize("name", ["Z7(+)Z7", "E(Z5)", "E(Z7)", "Z16(+)(0;2)"])
+def test_degree2_sampled_stream_matches_generic_sampler(name):
+    ring = build_ring(SAMPLED[name], size_cap=2401)
+    _check_sampled_stream(ring, 2, 11, 800)
 
 
 @pytest.mark.parametrize("expr", [ZMod(12), Idealization(ZMod(4), ModuleSpec(((0,),)))])

@@ -198,6 +198,8 @@ def test_random_expressions_against_scans(expr, data):
             for x in (ring.solve_mul_random(a, t, rng),
                       ring._solve_random(a, t, rng)):
                 assert (x is None) if not scan else (x in scan)
+    # idealization and triangular carriers read their unit flags off the base
+    assert [bool(f) for f in ring.unit_flags] == [ring.is_unit(a) for a in range(n)]
     _check_degree1_pair_streams(ring, rng.getrandbits(32))
     if not ring.commutative:
         return

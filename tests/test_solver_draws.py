@@ -10,6 +10,11 @@ pins both the values drawn and how many random numbers each call took.
 The digests were recorded with the solvers as they stood before their
 tables were reworked; a change that moves any of them moves the sampled
 zero-product streams.
+
+The pair sampler does not call the solver for a unit left coefficient,
+whose only solution of a*x = 0 is 0: it burns the draws the call would
+take, counted once per carrier on one*x = 0.  So every unit must take
+exactly that many draws and return 0.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ import random
 import pytest
 
 from sring import Idealization, ModuleSpec, TriangularE, ZMod, build_ring
+from sring.predicates import _draws_per_unit_solve, _DrawCounter
 from sring.rings import SOLUTION_CACHE_LIMIT
 
 RINGS = {
@@ -72,3 +78,21 @@ def test_random_solver_draws_are_pinned(name):
     # both kinds of target occur, so the digest covers both paths
     assert unsolved > 0 and solved >= 1000
     assert digest == DIGESTS[name]
+
+
+# a triangular solver draws x, y, w and z; an idealization's draws its
+# base solution y and then the module solution
+UNIT_DRAWS = {"UT3(Z5)": 4, "UT3(Z12)": 4, "Z56(+)Z56": 2, "Z16(+)(0;2)": 2}
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_every_unit_takes_the_probed_draws(name):
+    ring = build_ring(RINGS[name], size_cap=20736)
+    k = _draws_per_unit_solve(ring)
+    assert k == UNIT_DRAWS[name]
+    units = [u for u, unit in enumerate(ring.unit_flags) if unit]
+    assert units
+    for u in units:
+        counter = _DrawCounter()
+        assert ring.solve_mul_random(u, ring.zero, counter) == ring.zero
+        assert counter.draws == k, (u, counter.draws)

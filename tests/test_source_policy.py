@@ -29,9 +29,10 @@
   ``dominant_colon_witness`` and ``is_prime_ideal`` on the other, so the
   check cannot pass on a colon side that nothing runs.
 - The README's "Special paths" table names only code that exists, and it
-  lists every carrier's own ``_solve_random`` and every size limit of
-  ``rings.py``: a special path is kept while a measurement pays for it,
-  and the table is where that measurement is cited.
+  lists every carrier's own ``_solve_random`` and ``_build_unit_flags``
+  and every size limit of ``rings.py``: a special path is kept while a
+  measurement pays for it, and the table is where that measurement is
+  cited.
 - The exhaustive pair walk never branches on its degree: no comparison of
   ``degree``, or a name bound to it, with a literal and no test of its
   truth, so one walk over solution lists serves every degree.  The
@@ -231,7 +232,8 @@ def test_special_paths_table_names_existing_code_and_every_limit():
               for t in node.targets
               if isinstance(t, ast.Name) and t.id.endswith("_LIMIT")}
     overrides = {q for q, _, _ in _definitions(rings)
-                 if q.endswith("._solve_random") and q != "FiniteRing._solve_random"}
+                 for method in ("._solve_random", "._build_unit_flags")
+                 if q.endswith(method) and q != "FiniteRing" + method}
     assert limits and overrides
     assert sorted((limits | overrides) - set(names)) == []
 
