@@ -73,6 +73,13 @@ CASES = [
     # all 23,936 zero-product pairs, and some pair has no witness in S, so
     # this pins the exhaustive degree-1 walk and the kill masks it feeds
     ("check u-s-armendariz", "z12_idealization_4_s5"),
+] + [
+    # 256-element carriers whose operation tables are composed from their
+    # digits: Z4xZ4xZ4xZ4 (four digits), S = <(2, 1, 1, 1)>, and Z16(+)Z16
+    # (a composed idealization mul table), S = <(5, (0))>
+    (command, ring)
+    for ring in ("z4xz4xz4xz4_s2_1_1_1", "z16_idealization_s5")
+    for command in ("spectrum", "localize", "check s-pf")
 ]
 
 SEARCHES = [f"search --statement {stmt.name} --variant {variant} --budget 2000"
