@@ -9,10 +9,12 @@ no timestamps, so identical invocations produce byte-identical output.
 The SRING_THREADS environment variable caps the verification worker count
 (default: available parallelism); a value that is not a positive integer is
 a usage error.  Integer flags are range-checked at parse time (usage
-error): --max-degree >= 0, --budget >= 1, --count >= 0, --max-size >= 4,
---workers >= 1.  A ``verify --corpus`` file whose ring is noncommutative
-is a usage error, raised when the corpus is loaded, before any statement
-runs.
+error): --cap >= 1, --max-degree >= 0, --budget >= 1, --count >= 0,
+--max-size >= 4, --workers >= 1.  A ``verify --corpus`` file whose ring is
+noncommutative is a usage error, raised when the corpus is loaded, before
+any statement runs.  ``verify`` applies --cap to every instance, of the
+built-in corpus too; an instance above it exits 4 with an error that names
+the instance.
 """
 
 from __future__ import annotations
@@ -214,7 +216,10 @@ def _corpus_from_dir(directory: str, cap: int) -> list[CorpusInstance]:
     out = []
     for i, name in enumerate(paths):
         path = f"{directory}/{name}"
-        ring, S = parse_ring_file(path, size_cap=cap)
+        try:
+            ring, S = parse_ring_file(path, size_cap=cap)
+        except SizeCapExceededError as exc:
+            raise SizeCapExceededError(f"{path}: {exc}") from exc
         if not ring.commutative:
             raise MalformedExpressionError(
                 f"{path}: {ring.label} is noncommutative; "
@@ -243,6 +248,10 @@ def _cmd_verify(args) -> int:
                   for inst in instances}
     else:
         instances = generate_corpus(corpus_cfg)
+        for inst in instances:
+            if inst.ring.size > args.cap:
+                raise SizeCapExceededError(
+                    f"{inst.label}: ring size {inst.ring.size} exceeds cap {args.cap}")
         inputs = {"corpus": "built-in",
                   "corpus_config": {"seed": corpus_cfg.seed,
                                     "count": corpus_cfg.count,
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_input=True):
         if with_input:
             p.add_argument("input", help="ring-definition JSON file")
-        p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP,
+        p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_SIZE_CAP,
                        help="ring size cap (default %(default)s)")
         p.add_argument("--seed", type=int, default=42)
 

@@ -11,7 +11,8 @@ idealization and triangular carriers are one :class:`MixedRadixRing`: their
 indices are mixed-radix over component rings, so their ``add`` and ``neg``
 tables (and the product's ``mul``) are Kronecker folds of their components'
 tables, the idealization and triangular ``mul`` rows are sums of a few
-structured products, and they negate by lookup at every size.  A quotient
+structured products, both composed a whole row at a time as ``bytes``, and
+they negate by lookup at every size.  A quotient
 projects base operations on its representatives, and built from a bitmask
 alone it names every element of its ideal in its expression, so
 :func:`build_ring` realizes any carrier's expression again.  An
@@ -150,6 +151,7 @@ def expression_label(expr: RingExpression) -> str:
 
 SOLUTION_CACHE_LIMIT = 256
 OP_TABLE_LIMIT = 256
+_BYTE_VALUES = bytes(range(256))
 
 
 class FiniteRing:
@@ -160,12 +162,16 @@ class FiniteRing:
     :meth:`_install_op_tables` then rebinds ``add``/``mul``/``neg`` of a
     small carrier to lookups in the tables its ``_op_tables`` composes:
     a :class:`MixedRadixRing` folds ``add`` and ``neg`` from its digits'
-    tables (:func:`_digitwise_table`) and takes ``mul`` from its
+    tables (:func:`_digitwise_rows`) and takes ``mul`` from its
     ``_mul_table`` (a digitwise fold for :class:`ProductRing`; for
     :class:`IdealizationRing` and :class:`TriangularERing`, rows summed
     from left products with single digits), and :class:`QuotientRing`
-    projects one base operation per entry.  A mixed-radix carrier binds
-    ``neg`` to its table at every size.  Left distributivity is built into
+    projects one base operation per entry.  A tabled carrier has at most
+    256 elements, so the mixed-radix folds compose whole rows as ``bytes``
+    in C (``bytes.translate``, ``bytes.join``); the installed tables are
+    still ``list`` objects, as CPython 3.11 reads a ``list`` item slightly
+    faster than a ``bytes`` one.  A mixed-radix carrier binds ``neg`` to
+    its table at every size.  Left distributivity is built into
     the composed idealization and triangular ``mul`` tables, so for those
     carriers the oracle for the structured ``mul`` is a comparison of the
     tables with the structured arithmetic, not ``verify_ring_axioms`` on
@@ -367,34 +373,43 @@ class MixedRadixRing(FiniteRing):
             self.neg = _digitwise_neg(self.digits).__getitem__
 
     def _op_tables(self) -> tuple[list[int], list[int], list[int]]:
-        add_t = _digitwise_table(self.digits, "add")
-        return add_t, self._mul_table(add_t), _digitwise_neg(self.digits)
+        # a one-digit carrier's rows are lists; any tabled one fits in bytes
+        add_rows = list(map(bytes, _digitwise_rows(self.digits, "add")))
+        return (list(b"".join(add_rows)), self._mul_table(add_rows),
+                _digitwise_neg(self.digits))
 
-    def _mul_table(self, add_t: list[int]) -> list[int]:
-        """The flat ``mul`` table, from the structured ``mul`` and ``add_t``.
+    def _mul_table(self, add_rows: list[bytes]) -> list[int]:
+        """The flat ``mul`` table, from the structured ``mul`` and the rows
+        of the ``add`` table.
 
         An element y is the sum of its digits embedded at their weights,
         y = sum of y_k * w_k, and left multiplication is additive, so x*y is
         the sum over k of x*(y_k * w_k).  The row of x folds those partial
-        products digit by digit through the ``add`` table: it costs
-        sum(size_k) calls to the structured ``mul`` and about one table
-        lookup per entry.  Left distributivity is built into this table, so
-        it equals the entry-by-entry one exactly when the structured ``mul``
-        is left distributive.
+        products digit by digit, as ``bytes``: it starts from the products
+        with the first digit's values, and the block of a later digit value
+        y_k is the row so far mapped through the ``add`` row of x*(y_k * w_k),
+        one ``bytes.translate`` (the rows are padded to the 256 entries a
+        translation table needs).  A row costs sum(size_k) calls to the
+        structured ``mul`` and a C-level step per block.  Left
+        distributivity is built into this table, so it equals the
+        entry-by-entry one exactly when the structured ``mul`` is left
+        distributive.
         """
         n = self.size
         mul = self.mul
-        add_rows = [add_t[v * n:(v + 1) * n] for v in range(n)]
-        mul_t: list[int] = []
+        pad = bytes(256 - n)
+        add_rows = [row + pad for row in add_rows]
+        first, *rest = self.digits
+        mul_rows = []
         for x in range(n):
-            row = [0]
-            w = 1
-            for f in self.digits:
-                row = [s for y in range(0, f.size * w, w)
-                       for s in map(add_rows[mul(x, y)].__getitem__, row)]
+            row = bytes([mul(x, y) for y in range(first.size)])
+            w = first.size
+            for f in rest:
+                row = b"".join([row.translate(add_rows[mul(x, y)])
+                                for y in range(0, f.size * w, w)])
                 w *= f.size
-            mul_t.extend(row)
-        return mul_t
+            mul_rows.append(row)
+        return list(b"".join(mul_rows))
 
     def _split(self, i: int) -> tuple[int, ...]:
         parts = []
@@ -426,7 +441,7 @@ class ProductRing(MixedRadixRing):
         self.commutative = all(f.commutative for f in self.digits)
         self._install_op_tables()
 
-    def _mul_table(self, add_t: list[int]) -> list[int]:
+    def _mul_table(self, add_rows: list[bytes]) -> list[int]:
         # factor k costs size_k**2 calls to its own mul
         return _digitwise_table(self.digits, "mul")
 
@@ -456,27 +471,44 @@ class ProductRing(MixedRadixRing):
         return sorted(self._join(parts) for parts in itertools.product(*per_factor))
 
 
-def _digitwise_table(digits, op: str) -> list[int]:
-    """Flat table of the binary operation ``op`` ("add", "sub" or "mul") on
-    mixed-radix indices whose digits, least significant first, are elements
-    of the rings ``digits``, for an operation that acts digit by digit.
+def _digitwise_rows(digits, op: str) -> list:
+    """The rows of the table of the binary operation ``op`` ("add", "sub"
+    or "mul") on mixed-radix indices whose digits, least significant first,
+    are elements of the rings ``digits``, for an operation that acts digit
+    by digit.  Row p lists p op q for every index q.
 
     An index is the sum of p_k * w_k, w_k being the product of the earlier
     digit sizes.  So the row of an index is the Kronecker sum of its digits'
     rows scaled by w_k, folded from the first digit to the last; each
-    weighted digit stays below w_{k+1}, so no sum carries.  Digit k costs
-    size_k**2 calls to its ring's ``op``.
+    weighted digit stays below w_{k+1}, so no sum carries.  The fold starts
+    from the first digit's rows, lists of ints from size_0**2 calls to its
+    ring's ``op``, so a lone digit may have any size.  Every later digit
+    composes ``bytes`` rows, so the whole carrier must have at most 256
+    elements, as a tabled one has: the block of a digit value v is a whole
+    lower row shifted by v * w_k, one ``bytes.translate`` through a rotation
+    of the byte values.  Digit k then costs size_k**2 calls to its ring's
+    ``op`` and a C-level step per lower row.
     """
-    rows: list[list[int]] = [[0]]
-    w = 1
-    for f in digits:
-        elems = range(f.size)
-        f_op = getattr(f, op)
-        digit_rows = [[f_op(p, q) * w for q in elems] for p in elems]
-        rows = [[v + u for v in drow for u in row]
-                for drow in digit_rows for row in rows]
+    first, *rest = digits
+    f_op, elems = getattr(first, op), range(first.size)
+    rows = [[f_op(p, q) for q in elems] for p in elems]
+    w = first.size
+    for f in rest:
+        rows = list(map(bytes, rows))  # the first digit's lists; then a no-op
+        f_op, elems = getattr(f, op), range(f.size)
+        shifts = [_BYTE_VALUES[v:] + _BYTE_VALUES[:v] for v in range(0, f.size * w, w)]
+        rows = [b"".join([row.translate(shifts[f_op(p, q)]) for q in elems])
+                for p in elems for row in rows]
         w *= f.size
-    return list(itertools.chain.from_iterable(rows))
+    return rows
+
+
+def _digitwise_table(digits, op: str) -> list[int]:
+    """The flat table of :func:`_digitwise_rows`, entry p * size + q."""
+    rows = _digitwise_rows(digits, op)
+    if len(digits) == 1:  # the first digit's lists, whose entries may exceed a byte
+        return list(itertools.chain.from_iterable(rows))
+    return list(b"".join(rows))
 
 
 def _digitwise_neg(digits) -> list[int]:

@@ -181,6 +181,27 @@ def test_cli_verify_rejects_noncommutative_corpus_file_before_any_statement(
     assert not out.exists()
 
 
+def test_cli_verify_applies_the_cap_to_every_instance(tmp_path, capsys):
+    # the built-in corpus opens with z24-pow2 (24 elements); --count 0 keeps
+    # only its curated rings, of at most 30 elements
+    argv = ["verify", "--statement", "NIL_NILPOTENT", "--count", "0", "--workers", "1",
+            "--cap", "8"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: z24-pow2: ring size 24 exceeds cap 8\n"
+    assert main(argv[:-1] + ["30"]) == 0  # z30-unit is the largest curated ring
+    capsys.readouterr()
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write(corpus_dir, "a-z24.json", Z24_DOC)
+    assert main(["verify", "--statement", "NIL_NILPOTENT", "--corpus", str(corpus_dir),
+                 "--cap", "8"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {corpus_dir}/a-z24.json: ring: zmod size 24 exceeds cap 8\n"
+
+
 def z6_corpus(tmp_path):
     """Corpus directory holding one small ring file."""
     corpus_dir = tmp_path / "corpus"
@@ -193,11 +214,14 @@ def z6_corpus(tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("check", "--max-degree", "-1"),
     ("check", "--budget", "0"),
+    ("check", "--cap", "0"),
+    ("describe", "--cap", "-5"),
     ("verify", "--max-degree", "-1"),
     ("verify", "--budget", "0"),
     ("verify", "--count", "-3"),
     ("verify", "--workers", "0"),
     ("verify", "--max-size", "1"),
+    ("verify", "--cap", "0"),
     ("search", "--count", "-1"),
     ("search", "--budget", "0"),
     ("search", "--max-size", "1"),
@@ -205,6 +229,8 @@ def z6_corpus(tmp_path):
 def test_cli_rejects_out_of_range_integers(tmp_path, capsys, command, flag, value):
     if command == "check":
         argv = ["check", "u-s-armendariz", write(tmp_path, "z24.json", Z24_DOC)]
+    elif command == "describe":
+        argv = ["describe", write(tmp_path, "z24.json", Z24_DOC)]
     elif command == "verify":
         argv = ["verify", "--statement", "SPECTRUM_S_ZERO",
                 "--corpus", z6_corpus(tmp_path), "--jsonl", str(tmp_path / "r.jsonl")]

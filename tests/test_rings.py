@@ -25,6 +25,7 @@ from sring.rings import (
     MixedRadixRing,
     TriangularERing,
     ZModRing,
+    _digitwise_table,
     _quick_axiom_sample,
 )
 
@@ -273,9 +274,16 @@ def test_operation_tables_match_structured_arithmetic():
         Quotient(Product((ZMod(4), ZMod(6))), ((2, 3),)),
         Idealization(ZMod(4), ModuleSpec(((2,), (0,)))),
         Idealization(Product((ZMod(7), ZMod(2))), ModuleSpec(((),))),  # 196, full module
+        # module Z2xZ2 over Z6: a mul row folded over the digits in another
+        # order splits the index at 6, which is no digit boundary here
+        Idealization(ZMod(6), ModuleSpec(((2,), (2,)))),
         TriangularE(ZMod(3)),  # noncommutative
         TriangularE(ZMod(4)),  # 256 elements
         TriangularE(Product((ZMod(2), ZMod(2)))),  # 256 elements
+        # 256 elements each: four and eight digits, and an idealization
+        Product((ZMod(4),) * 4),
+        Product((ZMod(2),) * 8),
+        Idealization(ZMod(16), ModuleSpec(((0,),))),
     ]
     for expr in cases:
         ring = build_ring(expr)
@@ -288,6 +296,17 @@ def test_operation_tables_match_structured_arithmetic():
             for b in range(n):
                 assert ring.add(a, b) == plain.add(a, b), (ring.label, a, b)
                 assert ring.mul(a, b) == plain.mul(a, b), (ring.label, a, b)
+
+
+def test_one_digit_table_above_a_byte_is_the_entrywise_table():
+    # a lone digit, as a triangular base is, may have more than 256 elements
+    for base in (ZModRing(257), build_ring(Product((ZMod(16), ZMod(17))))):
+        n = base.size
+        assert n > 256
+        for op in ("add", "sub", "mul"):
+            f_op = getattr(base, op)
+            expected = [f_op(p, q) for p in range(n) for q in range(n)]
+            assert _digitwise_table((base,), op) == expected, (base.label, op)
 
 
 def test_large_composite_carriers_negate_by_table():
