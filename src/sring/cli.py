@@ -10,11 +10,11 @@ The SRING_THREADS environment variable caps the verification worker count
 (default: available parallelism); a value that is not a positive integer is
 a usage error.  Integer flags are range-checked at parse time (usage
 error): --cap >= 1, --max-degree >= 0, --budget >= 1, --count >= 0,
---max-size >= 4, --workers >= 1.  A ``verify --corpus`` file whose ring is
-noncommutative is a usage error, raised when the corpus is loaded, before
-any statement runs.  ``verify`` applies --cap to every instance, of the
-built-in corpus too; an instance above it exits 4 with an error that names
-the instance.
+--max-size >= 4, --workers >= 1, --ideal-cap >= 1.  A ``verify --corpus``
+file whose ring is noncommutative is a usage error, raised when the corpus
+is loaded, before any statement runs.  ``verify`` applies --cap to every
+instance, of the built-in corpus too; an instance above it exits 4 with an
+error that names the instance.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .harness import (
     run_catalog,
     summarize,
 )
-from .ideals import s_spectrum, spectrum_intersection
+from .ideals import DEFAULT_IDEAL_CAP, s_spectrum, spectrum_intersection
 from .predicates import (
     is_reduced,
     is_s_integral_domain,
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="list the S-prime ideals with witnesses")
     common(p)
-    p.add_argument("--ideal-cap", type=int, default=4096)
+    p.add_argument("--ideal-cap", type=_int_at_least(1), default=DEFAULT_IDEAL_CAP)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("localize", help="compute the localization at S")

@@ -378,29 +378,6 @@ def _exhaustive_vector_pairs(ring: FiniteRing, degree: int):
                             yield a, b + (x,)
 
 
-class _DrawCounter:
-    """Stands in for ``random.Random`` in a solver call and counts the
-    random numbers the call takes; each one is 0.0."""
-
-    def __init__(self):
-        self.draws = 0
-
-    def random(self) -> float:
-        self.draws += 1
-        return 0.0
-
-
-def _draws_per_unit_solve(ring: FiniteRing) -> int:
-    """Random numbers ``solve_mul_random`` takes for one*x = 0 on ``ring``.
-
-    With a unit on the left every equation has one solution, and so has
-    each base or module equation a carrier's own solver splits it into, so
-    a solver takes the same draws for every unit and every target."""
-    counter = _DrawCounter()
-    ring.solve_mul_random(ring.one, ring.zero, counter)
-    return counter.draws
-
-
 def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int):
     """Seeded stream of exactly ``budget`` genuine zero-product vector pairs.
 
@@ -414,9 +391,7 @@ def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int)
 
     A unit a0 forces b = 0: each condition a0*b_k = -(terms in b_0..b_{k-1})
     then reads a0*b_k = 0.  Both paths yield the zero vector for it without
-    a solver call, and burn the degree + 1 solves' worth of draws the first
-    attempt would take (:func:`_draws_per_unit_solve` each).  The burned
-    draws exist only to keep the stream that of the solve chain.
+    a solver call or a random number.
     """
     rng = random.Random(seed)
     rnd = rng.random
@@ -425,15 +400,12 @@ def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int)
     solve = ring.solve_mul_random
     zero = ring.zero
     units = ring.unit_flags
-    burned = range((degree + 1) * _draws_per_unit_solve(ring))
     if degree == 1:
         zero_vec = (zero, zero)
         for _ in range(budget):
             a0 = int(rnd() * size)
             a1 = int(rnd() * size)
             if units[a0]:
-                for _ in burned:
-                    rnd()
                 yield (a0, a1), zero_vec
                 continue
             b = None
@@ -460,8 +432,6 @@ def _sampled_vector_pairs(ring: FiniteRing, degree: int, seed: int, budget: int)
     while emitted < budget:
         a = tuple([int(rnd() * size) for _ in coefficients])
         if units[a[0]]:
-            for _ in burned:
-                rnd()
             yield a, zero_vec
             emitted += 1
             continue
@@ -593,7 +563,7 @@ class ArmendarizVerdict:
     per_pair_histogram: dict[int, int]
     per_pair_violation: ArmendarizViolation | None
     uniform_failed_after: int | None
-    degenerate = False  # 0 is never in S; kept for readers of the attribute
+    degenerate = False  # 0 is never in S; bench/run.py reads it
 
     @property
     def uniform_ok(self) -> bool:

@@ -182,7 +182,8 @@ class FiniteRing:
     constructions into dictionary hits; callers must not mutate the lists.
     ``solve_mul_random`` draws uniformly from the complete solution list
     unless a carrier too large for the cache overrides ``_solve_random``;
-    only :class:`IdealizationRing` and :class:`TriangularERing` do.  A
+    only :class:`IdealizationRing` and :class:`TriangularERing` do, and
+    theirs return None only when there is no solution.  A
     triangular carrier above ``OP_TABLE_LIMIT`` multiplies, and solves,
     digit by digit on its base's flat tables (see :class:`TriangularERing`).
     The README's "Special paths" table gives the measurement behind each of
@@ -663,9 +664,10 @@ class IdealizationRing(MixedRadixRing):
 
     def _solve_random(self, a, t, rng):
         # the module equation is solvable or not depending on y, so walk the
-        # y-candidates from a random offset instead of blind retries; a y
-        # whose target lies outside act[r]*M is skipped without a call, as
-        # the module solver would return None for it without drawing
+        # y-candidates from a random offset: a solvable equation always
+        # returns a solution.  A y whose target lies outside act[r]*M is
+        # skipped without a call, as the module solver would return None for
+        # it without drawing
         ms = self.module_size
         add, minus = self.module.add, self._minus_scaled
         r, m = divmod(a, ms)
@@ -675,7 +677,7 @@ class IdealizationRing(MixedRadixRing):
             return None
         image = self._images[r]
         start = int(rng.random() * len(ys))
-        for k in range(min(len(ys), 16)):
+        for k in range(len(ys)):
             yms = ys[(start + k) % len(ys)] * ms
             u = add(tm, minus[yms + m])
             if image >> u & 1:

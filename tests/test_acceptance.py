@@ -325,7 +325,7 @@ def test_criterion_14_byte_identical_reports(verify_runs):
 
 # sha256 of the verify --all --seed 42 stream.  A change that moves the
 # stream on purpose updates this and says why, as with the CLI goldens.
-VERIFY_STREAM_SHA256 = "2661c470e9b35a65cc56092c3549a1374e6ffd1b969115dc950f546143e7b12e"
+VERIFY_STREAM_SHA256 = "3db3a3a4c102118da209d012aed61c9999c898068fba88317ca291fab792856d"
 
 
 def test_verify_stream_matches_recorded_digest(verify_runs):
@@ -337,7 +337,7 @@ def test_verify_stream_matches_recorded_digest(verify_runs):
 # stream.  Its corpus holds rings of 65 to 128 elements, which the default
 # corpus lacks.  A change that moves the stream on purpose updates this and
 # says why, as with VERIFY_STREAM_SHA256.
-MANY_RINGS_STREAM_SHA256 = "a9978327321546755d1a3eb71fd19689c6b9e98a6af8658893f8cf57bd418c68"
+MANY_RINGS_STREAM_SHA256 = "9918df82cc7b9561d43d83cb7a4699ab4d4529e56a19457b3df35197bbe6db73"
 
 
 def test_many_rings_stream_matches_recorded_digest(tmp_path):

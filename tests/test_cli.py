@@ -100,10 +100,10 @@ def test_cli_spectrum_golden(tmp_path, capsys):
 def test_cli_spectrum_ideal_cap_counts_principal_ideals(tmp_path, capsys):
     path = write(tmp_path, "z24.json", Z24_DOC)
     # Z24 has 8 ideals, every one of them principal
-    assert main(["spectrum", path, "--ideal-cap", "0"]) == 2
+    assert main(["spectrum", path, "--ideal-cap", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "exceeds cap 0" in captured.err
+    assert captured.err.startswith("error:") and "exceeds cap 1" in captured.err
     assert main(["spectrum", path, "--ideal-cap", "7"]) == 2
     capsys.readouterr()
     assert main(["spectrum", path, "--ideal-cap", "8"]) == 0
@@ -225,12 +225,14 @@ def z6_corpus(tmp_path):
     ("search", "--count", "-1"),
     ("search", "--budget", "0"),
     ("search", "--max-size", "1"),
+    ("spectrum", "--ideal-cap", "0"),
+    ("spectrum", "--ideal-cap", "-5"),
 ])
 def test_cli_rejects_out_of_range_integers(tmp_path, capsys, command, flag, value):
     if command == "check":
         argv = ["check", "u-s-armendariz", write(tmp_path, "z24.json", Z24_DOC)]
-    elif command == "describe":
-        argv = ["describe", write(tmp_path, "z24.json", Z24_DOC)]
+    elif command in ("describe", "spectrum"):
+        argv = [command, write(tmp_path, "z24.json", Z24_DOC)]
     elif command == "verify":
         argv = ["verify", "--statement", "SPECTRUM_S_ZERO",
                 "--corpus", z6_corpus(tmp_path), "--jsonl", str(tmp_path / "r.jsonl")]

@@ -6,14 +6,14 @@ copied here as they ran, a brute-force filter of every vector pair, and
 the kill mask of all coefficient products of a pair.  The sampler's
 degree-1 block calls ``solve_mul_random`` without the generic loops, on
 carriers that memoize solution lists and on larger ones; it must give the
-same pairs in the same order.  Both paths of the sampler skip the solver
-for a unit a_0 and burn the draws it would take; the reference calls it,
-so the streams agree only if the burned draws are exactly those, which
-carriers with many units (E(Z7), a two-component module) check at
-degrees 1 and 2.  The exhaustive walk shares each prefix b_0..b_{D-1}
-among the last coefficients a_D and tests each candidate b_D against one
-bitmask of its trailing conditions; it must give the stack walk's pairs
-in the stack walk's order at every degree, on commutative
+same pairs in the same order.  Both paths of the sampler, and the
+reference, give a unit a_0 the zero right vector without a solver call or
+a random number; the reference checks that a solve with a throwaway
+generator returns 0, on carriers with many units (E(Z7), a two-component
+module) at degrees 1 and 2 too.  The exhaustive walk shares each prefix
+b_0..b_{D-1} among the last coefficients a_D and tests each candidate b_D
+against one bitmask of its trailing conditions; it must give the stack
+walk's pairs in the stack walk's order at every degree, on commutative
 carriers and on the noncommutative E(Z2).  The verdict checks degree**2
 products per pair (one at degree 1); they must give the same masks.
 """
@@ -47,6 +47,11 @@ def generic_sampled_pairs(ring, degree, seed, budget):
     zero = ring.zero
     for _ in range(budget):
         a = tuple([int(rnd() * size) for _ in range(D + 1)])
+        if ring.is_unit(a[0]):
+            # a0*b0 = 0 and a0*b_k = -(terms in b_0..b_{k-1}) force b = 0
+            assert solve(a[0], zero, random.Random(0)) == zero
+            yield a, (zero,) * (D + 1)
+            continue
         b = None
         for _ in range(2):
             cand = []

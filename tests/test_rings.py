@@ -368,6 +368,20 @@ def test_triangular_random_solver_finds_a_solution_whenever_one_exists():
         assert ring.solve_mul_random(alpha, tau, random.Random(seed)) in solutions
 
 
+def test_idealization_random_solver_finds_a_solution_whenever_one_exists():
+    # (0, 1)(y, x) = (0, y): every base y solves 0*y = 0, but only y = 5
+    # leaves a solvable module equation 0*x = 5 - y, so the solver must walk
+    # all 56 base solutions from its random offset
+    ring = build_ring(Idealization(ZMod(56), ModuleSpec(((0,),))), size_cap=4096)
+    assert ring.size == 56 * 56 > SOLUTION_CACHE_LIMIT
+    a = ring.encode((0, (1,)))
+    t = ring.encode((0, (5,)))
+    solutions = set(ring.solve_mul_all(a, t))
+    assert solutions == {ring.encode((5, (x,))) for x in range(56)}
+    for seed in range(200):
+        assert ring.solve_mul_random(a, t, random.Random(seed)) in solutions
+
+
 def test_solve_mul_matches_scan():
     rng = random.Random(7)
     exprs = [
@@ -395,17 +409,9 @@ def test_solve_mul_matches_scan():
                 expected = [x for x in range(ring.size) if ring.mul(a, x) == t]
                 assert ring.solve_mul_all(a, t) == expected
                 pick = ring.solve_mul_random(a, t, rng)
+                # every solver returns None only when there is no solution
                 if not expected:
                     assert pick is None
-                elif pick is None:
-                    # without a solution cache the idealization walks at most
-                    # 16 of the base solutions y of r*y = tr; only then may it
-                    # miss.  The triangular solver probes at most 16 of its x
-                    # and w candidates, base elements all, so over these bases
-                    # of at most 16 elements it never misses.
-                    assert ring.size > 256 and isinstance(expr, Idealization)
-                    r, tr = a // ring.module_size, t // ring.module_size
-                    assert len(ring.base.solve_mul_all(r, tr)) > 16
                 else:
                     assert pick in expected
 
