@@ -80,6 +80,15 @@ CASES = [
     (command, ring)
     for ring in ("z4xz4xz4xz4_s2_1_1_1", "z16_idealization_s5")
     for command in ("spectrum", "localize", "check s-pf")
+] + [
+    # S-PF on a ring that is S-PF (Z16xZ17, S = <(0, 3)>), on rings that
+    # fail it at growing sizes up to the size cap (Z12xZ12xZ6, Z3600, the
+    # idealizations Z24(+)Z24 and Z48(+)Z48, Z60xZ60 with S = <(2, 1)>,
+    # Z16xZ16xZ16 with S = <(2, 1, 1)>)
+    ("check s-pf", ring)
+    for ring in ("z16xz17_s0_3", "z12xz12xz6_s2_1_1", "z3600_s2",
+                 "z24_idealization_s5", "z48_idealization_s5", "z60xz60_s2_1",
+                 "z16xz16xz16_s2_1_1")
 ]
 
 SEARCHES = [f"search --statement {stmt.name} --variant {variant} --budget 2000"
