@@ -9,6 +9,11 @@ one :meth:`MultiplicativeSet.witness` finds; a purity witness (s*a = a*b)
 is the least s that :meth:`MultiplicativeSet.least_multipliers` maps a*b
 to.
 
+S-PF needs no purity witnesses until an annihilator fails: a in an ideal I
+has one iff S meets the ideal I + ann(a), so :func:`is_s_pf` decides each
+distinct annihilator from ideal masks, and only the first failing one gets
+the witness walk of :func:`is_s_pure`, which must fail at the same element.
+
 Bounded-degree zero-product searches never claim anything beyond their
 degree bound and search mode; both fields travel with the verdict.
 """
@@ -228,24 +233,79 @@ class SPFResult:
     detail: SPureResult | None
 
 
+def _s_meets_sum(S: MultiplicativeSet, I: int, J: int) -> bool:
+    """Whether S meets the ideal I + J, for ideals given as bitmasks.
+
+    When one ideal holds the other, I + J is the larger one.  Otherwise s
+    lies in I + J iff s + x lies in the larger ideal for some x in the
+    smaller one (x and -x range over the same ideal), at most
+    |S|*min(|I|, |J|) additions.
+    """
+    if S.mask & (I | J):
+        return True
+    if not I & ~J or not J & ~I:
+        return False
+    if I.bit_count() < J.bit_count():
+        I, J = J, I
+    add, smaller = S.ring.add, mask_elements(J)
+    return any((I >> add(s, x)) & 1 for s in S.members for x in smaller)
+
+
+def _least_impure(S: MultiplicativeSet, I: int, ann) -> int | None:
+    """The least a in the ideal I (a bitmask) with no b in I and s in S such
+    that s*a = a*b, or None: :func:`is_s_pure`'s ``failing``, decided from
+    ideals.  In a commutative ring s*a = a*b iff a*(s - b) = 0, so a passes
+    iff S meets I + ann(a), which is decided once per distinct annihilator;
+    ``ann`` maps an element to the bitmask of its annihilator.  When S
+    meets I, every a passes with b = s, and no annihilator is needed.
+    """
+    if S.mask & I:
+        return None
+    verdicts: dict[int, bool] = {}
+    for a in mask_elements(I):
+        J = ann(a)
+        ok = verdicts.get(J)
+        if ok is None:
+            ok = verdicts[J] = _s_meets_sum(S, I, J)
+        if not ok:
+            return a
+    return None
+
+
 def is_s_pf(ring: FiniteRing, S: MultiplicativeSet) -> SPFResult:
     """Every annihilator (0 : a) must be an S-pure ideal.
 
     Elements are walked in index order and each distinct annihilator is
-    checked once, so ``failing`` is the least a whose annihilator is not
-    S-pure.
+    decided once by :func:`_least_impure`, so ``failing`` is the least a
+    whose annihilator is not S-pure.  The failing annihilator alone gets
+    :func:`is_s_pure`'s witness walk as ``detail``, and the two criteria
+    must agree on its least impure element.
     """
     require_commutative(ring, "this predicate")
+    anns: dict[int, int] = {}
+
+    def ann(x: int) -> int:
+        mask = anns.get(x)
+        if mask is None:
+            mask = anns[x] = annihilator_mask(ring, x)
+        return mask
+
     pure: set[int] = set()
     for a in range(ring.size):
-        mask = annihilator_mask(ring, a)
+        mask = ann(a)
         if mask in pure:
             continue
-        ann = Ideal(ring, mask)
-        res = is_s_pure(S, ann)
-        if not res.verdict:
-            return SPFResult(False, a, ann, res)
-        pure.add(mask)
+        impure = _least_impure(S, mask, ann)
+        if impure is None:
+            pure.add(mask)
+            continue
+        ideal = Ideal(ring, mask)
+        detail = is_s_pure(S, ideal)
+        if detail.failing != impure:
+            raise SRingError(
+                f"S-purity criteria disagree on {ideal!r}: ideal sums fail at "
+                f"{impure}, the witness walk at {detail.failing}")
+        return SPFResult(False, a, ideal, detail)
     return SPFResult(True, None, None, None)
 
 

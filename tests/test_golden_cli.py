@@ -172,3 +172,13 @@ def test_search_hit_rechecks(hit):
     assert named and [k for k, v in hypotheses.items() if not v] == named
     assert ok is (hit["variant"] == "converse")
     assert json.loads(json.dumps(details)) == payload
+
+
+def test_every_golden_file_has_a_case():
+    """Each ring file under ``golden/rings`` is the input of some case, and
+    each recorded output is some case's golden, so no file goes stale."""
+    rings = {ring for _, ring in CASES}
+    assert rings == {path.stem for path in (GOLDEN / "rings").glob("*.json")}
+    names = {golden_name(command, ring) for command, ring in CASES}
+    names |= {golden_name(command) for command in SEARCHES}
+    assert names == {path.stem for path in (GOLDEN / "cli").glob("*.json")}
