@@ -74,6 +74,13 @@ CASES = [
     # this pins the exhaustive degree-1 walk and the kill masks it feeds
     ("check u-s-armendariz", "z12_idealization_4_s5"),
 ] + [
+    # the known-answer family R(+)R with S = {1}: for non-reduced R it is
+    # not Armendariz, and the verdict is false.  Z4(+)Z4 (16 elements) is
+    # walked exhaustively; Z8(+)Z8 and Z9(+)Z9 (64 and 81 elements) sample
+    # 100,000 pairs at the default seed
+    ("check u-s-armendariz", ring)
+    for ring in ("z4_idealization_s1", "z8_idealization_s1", "z9_idealization_s1")
+] + [
     # 256-element carriers whose operation tables are composed from their
     # digits: Z4xZ4xZ4xZ4 (four digits), S = <(2, 1, 1, 1)>, and Z16(+)Z16
     # (a composed idealization mul table), S = <(5, (0))>
