@@ -9,7 +9,7 @@ no timestamps, so identical invocations produce byte-identical output.
 The SRING_THREADS environment variable caps the verification worker count
 (default: available parallelism); a value that is not a positive integer is
 a usage error.  Integer flags are range-checked at parse time (usage
-error): --cap >= 1, --max-degree >= 0, --budget >= 1, --count >= 0,
+error): --cap >= 1, --max-degree >= 1, --budget >= 1, --count >= 0,
 --max-size >= 4, --workers >= 1, --ideal-cap >= 1.  A ``verify --corpus``
 file whose ring is noncommutative is a usage error, raised when the corpus
 is loaded, before any statement runs.  ``verify`` applies --cap to every
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide one predicate on an instance")
     p.add_argument("property", choices=PROPERTIES)
     common(p)
-    p.add_argument("--max-degree", type=_int_at_least(0), default=1)
+    p.add_argument("--max-degree", type=_int_at_least(1), default=1)
     p.add_argument("--budget", type=_int_at_least(1), default=100_000)
     p.set_defaults(fn=_cmd_check)
 
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeded instances to add to the built-in corpus")
     p.add_argument("--max-size", type=_int_at_least(4), default=64)
     p.add_argument("--budget", type=_int_at_least(1), default=100_000)
-    p.add_argument("--max-degree", type=_int_at_least(0), default=None)
+    p.add_argument("--max-degree", type=_int_at_least(1), default=None)
     p.add_argument("--workers", type=_int_at_least(1), default=None,
                    help="worker processes (default: SRING_THREADS or cpu count)")
     p.add_argument("--jsonl", default="-",

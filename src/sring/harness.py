@@ -304,7 +304,9 @@ class InstanceContext:
 
     @cached_property
     def s_meets_zero_divisors(self) -> bool:
-        return bool(set(self.S.members) & zero_divisor_set(self.ring))
+        """Whether some member of S is a zero divisor: S never holds 0, so
+        that is a member whose annihilator is more than {0}."""
+        return any(self.ring.annihilator(s) != 1 for s in self.S.members)
 
     @cached_property
     def primes_missing_s(self) -> tuple[list[Ideal], int]:
@@ -336,8 +338,7 @@ class InstanceContext:
                 out.append({"ideal": self.lits(I.elements), "hyp_ok": False,
                             "reason": "projected set contains 0", "lhs": None, "rhs": None})
                 continue
-            zdiv_q = zero_divisor_set(q)
-            hyp_ok = not (zdiv_q & set(sbar.members))
+            hyp_ok = all(q.annihilator(s) == 1 for s in sbar.members)
             lhs = s_radical(self.ring, self.S, I).is_s_radical
             rhs = is_s_reduced(q, sbar).verdict
             out.append({"ideal": self.lits(I.elements), "hyp_ok": hyp_ok,
@@ -401,10 +402,14 @@ class Statement:
     by construction, so none is ever false on a searched instance and
     ``drop-hypothesis`` and ``converse`` are unsupported.
 
-    Four hypothesis names are never false, so dropping them finds nothing:
+    Five hypothesis names are never false, so dropping them finds nothing:
     ``zero_not_in_S`` and ``nondegenerate_mult_set`` hold by construction
-    (a :class:`MultiplicativeSet` never holds 0), and ``s_artinian`` and
-    ``s_noetherian`` hold in every finite ring.
+    (a :class:`MultiplicativeSet` never holds 0), ``s_artinian`` and
+    ``s_noetherian`` hold in every finite ring, and ``spectrum_nonempty``
+    holds for every set :func:`mult_closure` builds.  As 0 is not in S, the
+    zero ideal misses S, and in a finite ring an ideal maximal among those
+    missing S exists and is prime; a prime that misses S is S-prime with
+    s = 1, so ``EmptySpectrumError`` is never reached.
     """
     hypotheses: Callable[[InstanceContext], dict]
     conclusion: Callable[[InstanceContext], tuple[bool, dict]]

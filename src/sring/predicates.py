@@ -9,6 +9,9 @@ one :meth:`MultiplicativeSet.witness` finds; a purity witness (s*a = a*b)
 is the least s that :meth:`MultiplicativeSet.least_multipliers` maps a*b
 to.
 
+Annihilators are read from :meth:`FiniteRing.annihilator`, which computes
+each one once per ring.
+
 S-PF needs no purity witnesses until an annihilator fails: a in an ideal I
 has one iff S meets the ideal I + ann(a), so :func:`is_s_pf` decides each
 distinct annihilator from ideal masks, and only the first failing one gets
@@ -38,32 +41,21 @@ from .rings import (
 )
 
 
-def annihilator_mask(ring: FiniteRing, a: int) -> int:
-    """Bitmask of {x : a*x = 0} (the right annihilator), read off the solver."""
-    mask = 0
-    for x in ring.solve_mul_all(a, ring.zero):
-        mask |= 1 << x
-    return mask
-
-
 def annihilator_chains(ring: FiniteRing) -> list[tuple[int, ...]]:
     """Per element a, the masks of ann(a) <= ann(a**2) <= ..., in index order.
 
     Each chain runs up to the first repeated power: the chain only grows, and
     from a power equal to 0 or to an earlier power on it is constant, so its
-    last mask is the value it stabilizes at.  Elements share powers, so the
-    annihilator of each distinct power is computed once per call.
+    last mask is the value it stabilizes at.  Elements share powers, and
+    each power's mask is read from :meth:`FiniteRing.annihilator`.
     """
     zero = ring.zero
-    masks: dict[int, int] = {}
+    annihilator = ring.annihilator
     chains = []
     for a in range(ring.size):
         anns = []
         for p in power_cycle(ring, a):
-            m = masks.get(p)
-            if m is None:
-                m = masks[p] = annihilator_mask(ring, p)
-            anns.append(m)
+            anns.append(annihilator(p))
             if p == zero:
                 break
         chains.append(tuple(anns))
@@ -282,14 +274,7 @@ def is_s_pf(ring: FiniteRing, S: MultiplicativeSet) -> SPFResult:
     must agree on its least impure element.
     """
     require_commutative(ring, "this predicate")
-    anns: dict[int, int] = {}
-
-    def ann(x: int) -> int:
-        mask = anns.get(x)
-        if mask is None:
-            mask = anns[x] = annihilator_mask(ring, x)
-        return mask
-
+    ann = ring.annihilator
     pure: set[int] = set()
     for a in range(ring.size):
         mask = ann(a)
@@ -372,7 +357,8 @@ def _exhaustive_vector_pairs(ring: FiniteRing, degree: int):
     Per prefix, the terms with i < D are summed once; the term a_D*b_j is
     read off a table of -(c*b_j) per c.  Condition D (j = 0) lists the
     candidates, from ``solve_mul_all``; the others make one bitmask of the
-    b_D that meet them all: the annihilator of a_D for j = D, and for
+    b_D that meet them all: the annihilator of a_D for j = D
+    (:meth:`FiniteRing.annihilator`), and for
     0 < j < D the solutions of a_j*x = target, memoized per (a_j, target).
     So a candidate costs one bit test.  Factors keep their order, as the
     triangular carrier is noncommutative.  The pairs come in the order of
@@ -384,7 +370,7 @@ def _exhaustive_vector_pairs(ring: FiniteRing, degree: int):
     zero = ring.zero
     D = degree
     elements = range(size)
-    annihilators = [annihilator_mask(ring, c) for c in elements]
+    annihilator = ring.annihilator
     nothing = [zero] * size  # -(c*0): condition 2D has no a_D term to add
     columns: dict[int, list[int]] = {}  # x -> -(c*x) for every c
     masks: dict[int, int] = {}  # c * size + t -> solutions of c*x = t
@@ -419,7 +405,7 @@ def _exhaustive_vector_pairs(ring: FiniteRing, degree: int):
         for last in elements:
             a = head + (last,)
             a0 = a[0]
-            top = annihilators[last]
+            top = annihilator(last)
             for b, partial, tables in known:
                 mask = top
                 for j in range(1, D):
@@ -665,8 +651,11 @@ def is_u_s_armendariz_up_to(ring: FiniteRing, S: MultiplicativeSet, degree: int,
     So s kills every a_i*b_j iff it kills those with 1 <= i <= degree and
     0 <= j < degree, and a pair costs degree**2 products and
     :attr:`MultiplicativeSet.killers` lookups (at degree 1 the one product
-    a1*b0).
+    a1*b0).  Degree 0 has no such product, so any ring would pass it: it
+    is rejected, as a negative degree is.
     """
+    if degree < 1:
+        raise SRingError(f"the coefficient check needs degree >= 1, got {degree}")
     resolved, src = _vector_pair_source(ring, degree, mode, seed, budget,
                                         exhaustive_budget)
     mul = ring.mul

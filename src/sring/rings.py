@@ -183,7 +183,9 @@ class FiniteRing:
     ``solve_mul_random`` draws uniformly from the complete solution list
     unless a carrier too large for the cache overrides ``_solve_random``;
     only :class:`IdealizationRing` and :class:`TriangularERing` do, and
-    theirs return None only when there is no solution.  A
+    theirs return None only when there is no solution.  Each element's
+    right annihilator is read off the solver once per ring, by
+    :meth:`annihilator`, and every predicate reads it there.  A
     triangular carrier above ``OP_TABLE_LIMIT`` multiplies, and solves,
     digit by digit on its base's flat tables (see :class:`TriangularERing`).
     The README's "Special paths" table gives the measurement behind each of
@@ -200,6 +202,7 @@ class FiniteRing:
         self._solutions_cache: dict[int, list[int]] | None = (
             {} if size <= SOLUTION_CACHE_LIMIT else None)
         self._unit_flags: bytes | None = None
+        self._annihilators: dict[int, int] = {}
 
     def _install_op_tables(self) -> None:
         """Bind ``add``/``mul``/``neg`` to flat operation tables (size*size
@@ -280,6 +283,23 @@ class FiniteRing:
 
     def is_unit(self, a: int) -> bool:
         return bool(self.solve_mul_all(a, self.one))
+
+    def annihilator(self, a: int) -> int:
+        """Bitmask of the right annihilator {x : a*x = 0}, which keeps factor
+        order on the noncommutative triangular carrier.
+
+        Read off ``solve_mul_all(a, zero)`` on first use and kept for the
+        ring's lifetime, in a dict that ``__init__`` sets (see
+        :attr:`unit_flags`): at most one mask per element, filled lazily, so
+        a reader that stops early pays only for the elements it reads.
+        """
+        mask = self._annihilators.get(a)
+        if mask is None:
+            mask = 0
+            for x in self.solve_mul_all(a, self.zero):
+                mask |= 1 << x
+            self._annihilators[a] = mask
+        return mask
 
     @property
     def unit_flags(self) -> bytes:
@@ -1081,9 +1101,7 @@ def nilpotent_profile(ring: FiniteRing) -> dict[int, int]:
 def zero_divisor_set(ring: FiniteRing) -> frozenset[int]:
     """Nonzero elements a admitting a nonzero b with a*b == 0.
 
-    x = 0 always solves a*x = 0, so a is a zero divisor exactly when the
-    solver finds a second solution.
+    Every annihilator holds 0, index 0, so a is a zero divisor exactly when
+    :meth:`FiniteRing.annihilator` gives more than the bit of 0.
     """
-    zero = ring.zero
-    return frozenset(a for a in range(1, ring.size)
-                     if len(ring.solve_mul_all(a, zero)) > 1)
+    return frozenset(a for a in range(1, ring.size) if ring.annihilator(a) != 1)

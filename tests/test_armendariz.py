@@ -12,6 +12,7 @@ from sring import (
     TriangularE,
     ZMod,
     build_ring,
+    is_reduced,
     is_u_s_armendariz_up_to,
     mult_closure,
     poly,
@@ -146,6 +147,12 @@ def test_negative_degree_is_rejected(mode):
         is_u_s_armendariz_up_to(z8, ones, -1, mode=mode)
     with pytest.raises(SRingError, match="degree"):
         zero_product_poly_pairs(z8, -1, mode=mode)
+    # degree 0 has genuine pairs of constants, but the check tests the
+    # products a_i*b_j with 1 <= i <= 0: none, so its verdict would be too
+    with pytest.raises(SRingError, match="got 0"):
+        is_u_s_armendariz_up_to(z8, ones, 0, mode=mode)
+    pairs = list(zero_product_poly_pairs(z8, 0, mode=mode, budget=50))
+    assert pairs and all(poly_multiply(z8, f, g).is_zero for f, g in pairs)
 
 
 @pytest.mark.parametrize("budget", [0, -5])
@@ -164,3 +171,20 @@ def test_sampled_budget_below_one_is_rejected(budget):
     # an exhaustive search ignores the sampling budget and still runs
     verdict = is_u_s_armendariz_up_to(z8, ones, 1, mode="exhaustive", budget=budget)
     assert verdict.pairs_checked > 0
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (4, 1_408), (6, 9_000), (8, 40_960), (9, 53_217), (10, 73_000), (12, 316_800),
+])
+def test_trivial_extension_is_armendariz_iff_its_base_is_reduced(n, pairs):
+    # Anderson-Camillo: R(+)R is Armendariz iff R is reduced, so with S = {1}
+    # a full degree-1 walk passes both readings for Z6 and Z10 and fails
+    # both for Z4, Z8, Z9 and Z12
+    reduced = is_reduced(build_ring(ZMod(n)))
+    ring = build_ring(Idealization(ZMod(n), ModuleSpec(((0,),))))
+    ones = mult_closure(ring, (ring.one,))
+    verdict = is_u_s_armendariz_up_to(ring, ones, 1, mode="exhaustive",
+                                      exhaustive_budget=ring.size ** 4)
+    assert verdict.pairs_checked == pairs
+    assert verdict.per_pair_ok is reduced
+    assert verdict.uniform_ok is reduced

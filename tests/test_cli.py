@@ -213,10 +213,12 @@ def z6_corpus(tmp_path):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("check", "--max-degree", "-1"),
+    ("check", "--max-degree", "0"),
     ("check", "--budget", "0"),
     ("check", "--cap", "0"),
     ("describe", "--cap", "-5"),
     ("verify", "--max-degree", "-1"),
+    ("verify", "--max-degree", "0"),
     ("verify", "--budget", "0"),
     ("verify", "--count", "-3"),
     ("verify", "--workers", "0"),

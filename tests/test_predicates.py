@@ -18,9 +18,10 @@ from sring import (
     localize,
     mult_closure,
     s_strongly_hopfian_profile,
+    zero_divisor_set,
 )
 from sring.ideals import Ideal, zero_ideal
-from sring.predicates import annihilator_mask
+from sring.predicates import annihilator_chains
 
 
 def test_s_reduced_z24(z24, s24):
@@ -119,7 +120,7 @@ def test_localize_z12_and_unit_set(z12, s12):
 def test_s_pure():
     z4 = build_ring(ZMod(4))
     s4 = mult_closure(z4, (3,))
-    ann2 = Ideal(z4, annihilator_mask(z4, 2))
+    ann2 = Ideal(z4, z4.annihilator(2))
     assert ann2.elements == (0, 2)
     res = is_s_pure(s4, ann2)
     assert not res.verdict and res.failing == 2
@@ -134,6 +135,10 @@ def test_s_pure():
 
 
 def test_annihilator_mask_against_scan():
+    # every reader takes its masks from FiniteRing.annihilator, which keeps
+    # them for the ring's lifetime: on a fresh ring per order, the readers
+    # fill the memo first, in one order and then in the other, and every
+    # element's mask must still be its scanned right annihilator
     cases = [
         ZMod(720),  # above the solution-cache limit
         Product((ZMod(4), ZMod(6))),
@@ -141,11 +146,24 @@ def test_annihilator_mask_against_scan():
         Idealization(ZMod(4), ModuleSpec(((2,), (0,)))),  # two components
         TriangularE(ZMod(2)),  # noncommutative: the right annihilator
     ]
+
+    def s_pf(ring):
+        if ring.commutative:
+            is_s_pf(ring, mult_closure(ring, (ring.one,)))
+
+    readers = [s_pf, annihilator_chains, zero_divisor_set]
     for expr in cases:
-        ring = build_ring(expr)
-        for a in range(ring.size):
-            brute = sum(1 << x for x in range(ring.size) if ring.mul(a, x) == 0)
-            assert annihilator_mask(ring, a) == brute, (ring.label, a)
+        for order in (readers, readers[::-1]):
+            ring = build_ring(expr)
+            for read in order:
+                read(ring)
+            brute = [sum(1 << x for x in range(ring.size) if ring.mul(a, x) == 0)
+                     for a in range(ring.size)]
+            for a in range(ring.size):
+                assert ring.annihilator(a) == brute[a], (ring.label, a)
+            assert [chain[0] for chain in annihilator_chains(ring)] == brute
+            assert zero_divisor_set(ring) == {a for a in range(1, ring.size)
+                                              if brute[a] != 1}
 
 
 def test_s_pf():

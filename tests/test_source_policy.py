@@ -37,6 +37,10 @@
   ``degree``, or a name bound to it, with a literal and no test of its
   truth, so one walk over solution lists serves every degree.  The
   sampler's degree-1 block is a listed special path and is not checked.
+- The annihilator has one implementation: no function of the package but
+  ``FiniteRing.annihilator`` calls ``solve_mul_all``, or a name bound to
+  it, with the ring's zero (the name ``zero`` or an attribute ``.zero``)
+  as its target, so every reader shares the masks the ring keeps.
 """
 
 import ast
@@ -325,3 +329,44 @@ def test_exhaustive_walk_has_no_degree_branch():
     planted = ("def walk(ring, degree):\n    D = degree\n"
                "    x = 0 if D else 1\n    if 1 < degree:\n        pass\n")
     assert len(degree_branches(planted, "walk")) == 2
+
+
+def zero_target_solves(source: str, path: str = "<planted>") -> list[str]:
+    """``path:line function`` for each call of ``solve_mul_all``, or of a
+    name a function binds to it, whose target (the second argument) is the
+    name ``zero`` or an attribute ``.zero``: an annihilator read off the
+    solver.  Methods are named ``Class.method``."""
+    def is_zero(expr) -> bool:
+        return (isinstance(expr, ast.Name) and expr.id == "zero"
+                or isinstance(expr, ast.Attribute) and expr.attr == "zero")
+
+    found = []
+    for qualname, node, _ in _definitions(ast.parse(source)):
+        solvers = {"solve_mul_all"} | {
+            t.id for n in ast.walk(node) if isinstance(n, ast.Assign)
+            and isinstance(n.value, ast.Attribute) and n.value.attr == "solve_mul_all"
+            for t in n.targets if isinstance(t, ast.Name)}
+        found += [f"{path}:{n.lineno} {qualname}" for n in ast.walk(node)
+                  if isinstance(n, ast.Call) and _called_name(n) in solvers
+                  and len(n.args) > 1 and is_zero(n.args[1])]
+    return found
+
+
+def test_only_the_ring_reads_annihilators_off_the_solver():
+    found = [hit for path in SOURCES
+             for hit in zero_target_solves(path.read_text(), path.name)]
+    assert [hit.split()[1] for hit in found] == ["FiniteRing.annihilator"]
+    # the per-call helper it replaced is gone
+    defined = {q.rpartition(".")[2] for q in defined_names(SOURCES)}
+    assert "annihilator_mask" not in defined
+    planted = ("class R:\n"
+               "    def annihilator(self, a):\n"
+               "        return self.solve_mul_all(a, self.zero)\n"
+               "def ann(ring, a):\n"
+               "    zero = ring.zero\n"
+               "    return ring.solve_mul_all(a, zero)\n"
+               "def walk(ring, a, t):\n"
+               "    solve = ring.solve_mul_all\n"
+               "    return solve(a, t) + solve(a, ring.zero)\n")
+    assert zero_target_solves(planted) == [
+        "<planted>:3 R.annihilator", "<planted>:6 ann", "<planted>:9 walk"]
